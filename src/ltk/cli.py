@@ -2,8 +2,7 @@
 
 Exit codes: 0 = verified/computed, 1 = a mathematical check failed,
 2 = usage or resource error.  Results go to stdout, diagnostics to
-stderr.  LTK_THREADS caps the worker count used by the heavier
-transfer-side computations.
+stderr.
 """
 
 from __future__ import annotations
@@ -106,13 +105,26 @@ def _load_gamma(cfg: CommandConfig) -> dp.GammaElement:
     return doc.element
 
 
+def _emit_json(**fields) -> None:
+    print(json.dumps({"schema": elements_io.SCHEMA_VERSION, **fields}))
+
+
 def _emit_element(cfg: CommandConfig, e: la.LambdaElement, kind: str = "lambda") -> None:
     body = (elements_io.serialize_lambda(e) if kind == "lambda"
             else elements_io.serialize_gamma(e))
     if cfg.fmt == "json":
-        print(json.dumps({"schema": elements_io.SCHEMA_VERSION, "element": body}))
+        _emit_json(element=body)
     else:
         print(body)
+
+
+def _emit_basis(cfg: CommandConfig, bodies: list[str]) -> None:
+    if cfg.fmt == "json":
+        _emit_json(count=len(bodies), basis=bodies)
+    else:
+        for b in bodies:
+            print(b)
+        print(f"count = {len(bodies)}", file=sys.stderr)
 
 
 def _cmd_normalize(cfg: CommandConfig) -> int:
@@ -132,22 +144,14 @@ def _cmd_sq0(cfg: CommandConfig) -> int:
 
 def _cmd_basis(cfg: CommandConfig) -> int:
     words = la.admissible_basis(cfg.s, cfg.deg)
-    bodies = [elements_io.serialize_lambda(frozenset({w})) for w in words]
-    if cfg.fmt == "json":
-        print(json.dumps({"schema": elements_io.SCHEMA_VERSION,
-                          "count": len(bodies), "basis": bodies}))
-    else:
-        for b in bodies:
-            print(b)
-        print(f"count = {len(bodies)}", file=sys.stderr)
+    _emit_basis(cfg, [elements_io.serialize_lambda(frozenset({w})) for w in words])
     return OK
 
 
 def _cmd_homology(cfg: CommandConfig) -> int:
     dim = homology.ext_dimension(cfg.s, cfg.deg)
     if cfg.fmt == "json":
-        print(json.dumps({"schema": elements_io.SCHEMA_VERSION,
-                          "s": cfg.s, "deg": cfg.deg, "dim": dim}))
+        _emit_json(s=cfg.s, deg=cfg.deg, dim=dim)
     else:
         print(f"dim = {dim}")
     return OK
@@ -163,12 +167,9 @@ def _cmd_steenrod(cfg: CommandConfig) -> int:
 def _cmd_primitive_check(cfg: CommandConfig) -> int:
     evidence = dp.is_primitive(_load_gamma(cfg))
     if cfg.fmt == "json":
-        print(json.dumps({
-            "schema": elements_io.SCHEMA_VERSION,
-            "primitive": evidence.holds,
-            "checked": [{"sq": i, "image": elements_io.serialize_gamma(img)}
-                        for i, img in evidence.checked],
-        }))
+        _emit_json(primitive=evidence.holds,
+                   checked=[{"sq": i, "image": elements_io.serialize_gamma(img)}
+                            for i, img in evidence.checked])
     else:
         for i, img in evidence.checked:
             print(f"Sq^{i} -> {elements_io.serialize_gamma(img)}")
@@ -179,14 +180,7 @@ def _cmd_primitive_check(cfg: CommandConfig) -> int:
 def _cmd_primitive_basis(cfg: CommandConfig) -> int:
     transfer._guard_basis(cfg.rank, cfg.deg, cfg.max_basis)
     basis = dp.primitive_basis(cfg.rank, cfg.deg)
-    bodies = [elements_io.serialize_gamma(e) for e in basis]
-    if cfg.fmt == "json":
-        print(json.dumps({"schema": elements_io.SCHEMA_VERSION,
-                          "count": len(bodies), "basis": bodies}))
-    else:
-        for b in bodies:
-            print(b)
-        print(f"count = {len(bodies)}", file=sys.stderr)
+    _emit_basis(cfg, [elements_io.serialize_gamma(e) for e in basis])
     return OK
 
 
@@ -223,8 +217,7 @@ def _cmd_transfer_image(cfg: CommandConfig) -> int:
     dim, reps = transfer.transfer_image_dim(cfg.s, cfg.deg, max_basis=cfg.max_basis)
     bodies = [elements_io.serialize_lambda(r) for r in reps]
     if cfg.fmt == "json":
-        print(json.dumps({"schema": elements_io.SCHEMA_VERSION, "s": cfg.s,
-                          "deg": cfg.deg, "dim": dim, "representatives": bodies}))
+        _emit_json(s=cfg.s, deg=cfg.deg, dim=dim, representatives=bodies)
     else:
         print(f"dim = {dim}")
         for b in bodies:
@@ -238,13 +231,10 @@ def _cmd_find_preimage(cfg: CommandConfig) -> int:
     preimage = transfer.find_preimage(cfg.s, target, max_basis=cfg.max_basis)
     trivial = not homology.class_nonzero(target)
     if cfg.fmt == "json":
-        print(json.dumps({
-            "schema": elements_io.SCHEMA_VERSION,
-            "found": preimage is not None,
-            "preimage": None if preimage is None
-            else elements_io.serialize_gamma(preimage),
-            "target_class_trivial": trivial,
-        }))
+        _emit_json(found=preimage is not None,
+                   preimage=None if preimage is None
+                   else elements_io.serialize_gamma(preimage),
+                   target_class_trivial=trivial)
     else:
         if preimage is None:
             print("no primitive preimage exists")
@@ -290,7 +280,6 @@ def run(argv: list[str]) -> int:
         max_basis=None if getattr(args, "force", False) else transfer.DEFAULT_MAX_BASIS,
     )
     try:
-        transfer._worker_count()  # validate LTK_THREADS up front
         return _HANDLERS[cfg.subcommand](cfg)
     except transfer.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import f2core
-from .f2core import BitMatrix, binom_mod2
+from .f2core import binom_mod2
 
 GammaMonomial = tuple[int, ...]
 GammaElement = frozenset  # of GammaMonomial
@@ -148,42 +148,22 @@ def gamma_basis(s: int, d: int) -> tuple[GammaMonomial, ...]:
 def primitive_basis(s: int, d: int) -> list[GammaElement]:
     """A basis of the joint kernel of the generator squares at (s, d)."""
     basis = gamma_basis(s, d)
-    squares = _generator_squares(d)
-    if not squares:
-        return [frozenset({m}) for m in basis]
-    rows = []
-    for i in squares:
-        codomain = gamma_basis(s, d - i)
-        index = {m: j for j, m in enumerate(codomain)}
-        images = []
-        for m in basis:
-            bits = 0
+    codomains = [(i, {w: j for j, w in enumerate(gamma_basis(s, d - i))})
+                 for i in _generator_squares(d)]
+    span = f2core.Span()
+    for m in basis:
+        # the images of m under every generator square, side by side
+        row, offset = 0, 0
+        for i, index in codomains:
             for w in _sq_monomial(m, i):
-                bits |= 1 << index[w]
-            images.append(bits)
-        rows.append(BitMatrix.from_rows(len(codomain), images).transpose())
-    stacked = BitMatrix.from_rows(
-        len(basis), [r for mat in rows for r in mat.data]
-    )
-    kernel = f2core.kernel_basis(stacked)
+                row |= 1 << (offset + index[w])
+            offset += len(index)
+        span.add(row)
     out = []
-    for v in kernel:
-        candidate = frozenset(basis[j] for j in v.support())
+    for v in span.kernel:
+        candidate = frozenset(m for j, m in enumerate(basis) if v >> j & 1)
         evidence = is_primitive(candidate)
         if not evidence:
             raise AssertionError("kernel vector failed the primitivity re-check")
         out.append(candidate)
     return out
-
-
-def _divided_multiply(m1: GammaMonomial, m2: GammaMonomial) -> GammaElement:
-    """Product of two same-rank monomials; test oracle only.
-
-    a^(i) a^(j) = C(i+j, i) a^(i+j) in each coordinate.
-    """
-    if len(m1) != len(m2):
-        raise ValueError("rank mismatch")
-    for a, b in zip(m1, m2):
-        if not binom_mod2(a + b, a):
-            return ZERO
-    return frozenset({tuple(a + b for a, b in zip(m1, m2))})

@@ -1,8 +1,9 @@
-"""Exact mod-2 scalar arithmetic and dense GF(2) linear algebra.
+"""Exact mod-2 scalar arithmetic and GF(2) linear algebra.
 
 Vectors and matrices are bit-packed into Python ints, so row operations
-are single XORs regardless of width.  Everything is immutable after
-construction and safe to share between threads.
+are single XORs regardless of width.  `Span` is the one elimination
+routine: rank, kernel and solve all read off its echelon rows and their
+provenance.
 """
 
 from __future__ import annotations
@@ -85,19 +86,6 @@ class BitMatrix:
         data = tuple(rows)
         return cls(len(data), cols, data)
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("entry out of range")
-        return (self.data[i] >> j) & 1
-
     def transpose(self) -> "BitMatrix":
         cols = []
         for j in range(self.cols):
@@ -108,107 +96,77 @@ class BitMatrix:
         return BitMatrix(self.cols, self.rows, tuple(cols))
 
 
-def mat_vec(m: BitMatrix, x: BitVector) -> BitVector:
-    """Matrix-vector product over GF(2), x as a column vector."""
-    if x.length != m.cols:
-        raise ValueError("dimension mismatch")
-    bits = 0
-    for i, row in enumerate(m.data):
-        bits |= (bin(row & x.bits).count("1") & 1) << i
-    return BitVector(m.rows, bits)
-
-
-def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2)."""
-    if a.cols != b.rows:
-        raise ValueError("dimension mismatch")
-    out = []
-    for row in a.data:
-        acc = 0
-        r = row
-        while r:
-            low = r & -r
-            acc ^= b.data[low.bit_length() - 1]
-            r ^= low
-        out.append(acc)
-    return BitMatrix(a.rows, b.cols, tuple(out))
-
-
-def _eliminate(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        mask = 1 << c
-        pivot = next((i for i in range(r, len(rows)) if rows[i] & mask), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & mask:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def rank(m: BitMatrix) -> int:
-    """Rank of the matrix over GF(2)."""
-    _, pivots = _eliminate(list(m.data), m.cols)
-    return len(pivots)
-
-
-def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """An independent spanning set of {x : Mx = 0}."""
-    rows, pivots = _eliminate(list(m.data), m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        bits = 1 << free
-        for r, p in enumerate(pivots):
-            if (rows[r] >> free) & 1:
-                bits |= 1 << p
-        basis.append(BitVector(m.cols, bits))
-    return basis
-
-
 class Span:
-    """Incrementally maintained row span; rows are bit-packed ints."""
+    """Incrementally maintained row span with provenance.
+
+    Rows are bit-packed ints, numbered in the order they are added.  Each
+    stored row is reduced to a distinct top bit and kept with its
+    provenance: the mask of added rows that sum to it.  A row is
+    independent iff it is not a sum of earlier rows, so the independent
+    rows are the lexicographically first ones, the pivots that reduced
+    row echelon form picks.
+    """
 
     def __init__(self):
-        self._pivots: dict[int, int] = {}  # pivot bit position -> reduced row
+        self._pivots: dict[int, tuple[int, int]] = {}  # top bit -> (row, provenance)
+        self._added = 0
+        # provenance of each dependent add, in order: a kernel basis of the
+        # map sending added row i to its bits
+        self.kernel: list[int] = []
+
+    def reduce(self, bits: int) -> tuple[int, int]:
+        """(residual, provenance) with bits = residual + the sum of the
+        added rows in provenance; residual is 0 iff bits is in the span."""
+        provenance = 0
+        while bits:
+            pivot = self._pivots.get(bits.bit_length() - 1)
+            if pivot is None:
+                break
+            row, origin = pivot
+            bits ^= row
+            provenance ^= origin
+        return bits, provenance
 
     def add(self, bits: int) -> bool:
-        """Reduce against the span; True iff the row was independent."""
-        while bits:
-            top = bits.bit_length() - 1
-            row = self._pivots.get(top)
-            if row is None:
-                self._pivots[top] = bits
-                return True
-            bits ^= row
+        """Add the next row; True iff it was independent of the span."""
+        residual, provenance = self.reduce(bits)
+        provenance ^= 1 << self._added
+        self._added += 1
+        if residual:
+            self._pivots[residual.bit_length() - 1] = (residual, provenance)
+            return True
+        self.kernel.append(provenance)
         return False
+
+    def copy(self) -> "Span":
+        other = Span()
+        other._pivots = dict(self._pivots)
+        other._added = self._added
+        other.kernel = list(self.kernel)
+        return other
 
     def __len__(self) -> int:
         return len(self._pivots)
 
 
+def rank(m: BitMatrix) -> int:
+    """Rank of the matrix over GF(2)."""
+    span = Span()
+    for row in m.data:
+        span.add(row)
+    return len(span)
+
+
 def solve(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
-    """Some x with Mx = b, or None if the system is unsolvable."""
+    """Some x with Mx = b, or None if the system is unsolvable.
+
+    x is supported on the pivot columns, as back-substitution from
+    reduced row echelon form gives it.
+    """
     if b.length != m.rows:
         raise ValueError("dimension mismatch")
-    aug = [row | (((b.bits >> i) & 1) << m.cols) for i, row in enumerate(m.data)]
-    rows, pivots = _eliminate(aug, m.cols)
-    mask = (1 << m.cols) - 1
-    for r in range(len(pivots), len(rows)):
-        if rows[r] & ~mask:
-            return None
-    bits = 0
-    for r, p in enumerate(pivots):
-        if rows[r] >> m.cols:
-            bits |= 1 << p
-    return BitVector(m.cols, bits)
+    span = Span()
+    for column in m.transpose().data:
+        span.add(column)
+    residual, x = span.reduce(b.bits)
+    return None if residual else BitVector(m.cols, x)

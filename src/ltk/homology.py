@@ -1,20 +1,21 @@
 """Cohomology of the Lambda algebra differential in a fixed bidegree.
 
-Each bidegree slice carries the admissible basis and the differential
-matrices in and out of it; every class-level question (is this a
-boundary, are these two cycles homologous, what is the Ext dimension)
-reduces to rank or solve calls on those matrices.  Witnesses are always
-re-verified by applying the differential before they are returned.
+Each bidegree slice carries the admissible basis and the echelon span of
+the boundaries in it, whose provenance records which words of the
+previous slice produce each boundary.  Every class-level question (is
+this a boundary, are these two cycles homologous, what is the Ext
+dimension) reduces to a rank or a reduction against such a span.
+Witnesses are always re-verified by applying the differential before
+they are returned.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from . import f2core, lambda_algebra as la
-from .f2core import BitMatrix, BitVector
 from .lambda_algebra import LambdaElement, LambdaMonomial
 
 
@@ -26,9 +27,10 @@ class NotACycleError(ValueError):
 class BidegreeSlice:
     """The chain data at one bidegree (s, d).
 
-    Both matrices use column-vector convention: columns are indexed by
-    the domain basis, rows by the codomain basis.  diff_out maps this
-    slice to (s+1, d-1); diff_in maps (s-1, d+1) into this slice.
+    boundaries holds the differentials of prev_basis, the basis at
+    (s-1, d+1), as rows in basis coordinates, added in prev_basis order:
+    bit i of a provenance mask stands for prev_basis[i].  The slice is
+    cached and shared, so add nothing to boundaries; copy it instead.
     """
 
     s: int
@@ -36,45 +38,45 @@ class BidegreeSlice:
     basis: tuple[LambdaMonomial, ...]
     prev_basis: tuple[LambdaMonomial, ...]
     next_basis: tuple[LambdaMonomial, ...]
-    diff_out: BitMatrix
-    diff_in: BitMatrix
+    boundaries: f2core.Span
 
 
-def _coords(e: LambdaElement, index: dict[LambdaMonomial, int], length: int) -> BitVector:
-    bits = 0
-    for w in e:
-        bits |= 1 << index[w]
-    return BitVector(length, bits)
+def bit_rows(elements: Iterable[LambdaElement],
+             basis: tuple[LambdaMonomial, ...]) -> Iterator[int]:
+    """Each element as a bit-packed row, bit i standing for basis[i]."""
+    index = {w: i for i, w in enumerate(basis)}
+    for e in elements:
+        bits = 0
+        for w in e:
+            bits |= 1 << index[w]
+        yield bits
 
 
-def _from_coords(v: BitVector, basis: tuple[LambdaMonomial, ...]) -> LambdaElement:
-    return frozenset(basis[i] for i in v.support())
+def differentials(domain: tuple[LambdaMonomial, ...]) -> Iterator[LambdaElement]:
+    """The differential of each word, in order."""
+    return (la.differential(frozenset({w})) for w in domain)
 
 
-def _diff_matrix(domain: tuple[LambdaMonomial, ...],
-                 codomain: tuple[LambdaMonomial, ...]) -> BitMatrix:
-    index = {w: i for i, w in enumerate(codomain)}
-    images = []
-    for w in domain:
-        image = la.differential(frozenset({w}))
-        images.append(_coords(image, index, len(codomain)).bits)
-    return BitMatrix.from_rows(len(codomain), images).transpose()
+def _image_span(domain: tuple[LambdaMonomial, ...],
+                codomain: tuple[LambdaMonomial, ...]) -> f2core.Span:
+    span = f2core.Span()
+    for row in bit_rows(differentials(domain), codomain):
+        span.add(row)
+    return span
 
 
 @functools.cache
 def slice_at(s: int, d: int) -> BidegreeSlice:
     """Build (and cache) the chain slice at bidegree (s, d)."""
     basis = la.admissible_basis(s, d)
-    next_basis = la.admissible_basis(s + 1, d - 1) if d >= 1 else ()
     prev_basis = la.admissible_basis(s - 1, d + 1) if s >= 1 else ()
     return BidegreeSlice(
         s=s,
         d=d,
         basis=basis,
         prev_basis=prev_basis,
-        next_basis=next_basis,
-        diff_out=_diff_matrix(basis, next_basis),
-        diff_in=_diff_matrix(prev_basis, basis),
+        next_basis=la.admissible_basis(s + 1, d - 1) if d >= 1 else (),
+        boundaries=_image_span(prev_basis, basis),
     )
 
 
@@ -103,12 +105,10 @@ def boundary_witness(r: LambdaElement) -> Optional[LambdaElement]:
     if s == 0:
         return None
     sl = slice_at(s, d)
-    index = {w: i for i, w in enumerate(sl.basis)}
-    target = _coords(r, index, len(sl.basis))
-    x = f2core.solve(sl.diff_in, target)
-    if x is None:
+    residual, x = sl.boundaries.reduce(next(bit_rows([r], sl.basis)))
+    if residual:
         return None
-    witness = _from_coords(x, sl.prev_basis)
+    witness = frozenset(w for i, w in enumerate(sl.prev_basis) if x >> i & 1)
     if la.differential(witness) != r:
         raise AssertionError("witness failed re-verification")
     return witness
@@ -124,9 +124,9 @@ def ext_dimension(s: int, d: int) -> int:
     if s < 0 or d < 0:
         raise ValueError("bidegree components must be non-negative")
     sl = slice_at(s, d)
-    cycles = len(sl.basis) - f2core.rank(sl.diff_out)
-    boundaries = f2core.rank(sl.diff_in)
-    return cycles - boundaries
+    # a throwaway span: slice_at(s+1, d-1) would also enumerate (s+2, d-2)
+    cycles = len(sl.basis) - len(_image_span(sl.basis, sl.next_basis))
+    return cycles - len(sl.boundaries)
 
 
 def _require_cycle(e: LambdaElement) -> LambdaElement:

@@ -20,8 +20,7 @@ re-checked witnesses.
 from __future__ import annotations
 
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
@@ -38,17 +37,6 @@ DEFAULT_MAX_BASIS = 200_000
 
 class ResourceLimitError(RuntimeError):
     """Raised when a computation would exceed the configured basis cap."""
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("LTK_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"LTK_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"LTK_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 @functools.cache
@@ -207,46 +195,21 @@ def _guard_basis(s: int, d: int, max_basis: Optional[int]) -> None:
         )
 
 
-def _psi_images(prims: list[GammaElement], threads: int) -> list[LambdaElement]:
-    if threads > 1 and len(prims) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(psi, prims))
-    return [psi(p) for p in prims]
-
-
-def _boundary_span(sl: homology.BidegreeSlice) -> f2core.Span:
-    span = f2core.Span()
-    for row in sl.diff_in.transpose().data:
-        span.add(row)
-    return span
-
-
-def transfer_image_dim(s: int, d: int, max_basis: Optional[int] = DEFAULT_MAX_BASIS,
-                       threads: Optional[int] = None) -> tuple[int, list[LambdaElement]]:
+def transfer_image_dim(s: int, d: int, max_basis: Optional[int] = DEFAULT_MAX_BASIS
+                       ) -> tuple[int, list[LambdaElement]]:
     """Dimension of the transfer image inside the cohomology at (s, d),
     with spanning cycle representatives."""
     _guard_basis(s, d, max_basis)
-    threads = _worker_count() if threads is None else threads
-    prims = dp.primitive_basis(s, d)
-    images = _psi_images(prims, threads)
+    images = [psi(p) for p in dp.primitive_basis(s, d)]
     sl = homology.slice_at(s, d)
-    index = {w: i for i, w in enumerate(sl.basis)}
-    span = _boundary_span(sl)
-    dim = 0
-    reps: list[LambdaElement] = []
-    for image in images:
-        bits = 0
-        for w in image:
-            bits |= 1 << index[w]
-        if span.add(bits):
-            dim += 1
-            reps.append(image)
-    return dim, reps
+    span = sl.boundaries.copy()
+    reps = [image for image, row in zip(images, homology.bit_rows(images, sl.basis))
+            if span.add(row)]
+    return len(reps), reps
 
 
 def find_preimage(s: int, target: LambdaElement,
-                  max_basis: Optional[int] = DEFAULT_MAX_BASIS,
-                  threads: Optional[int] = None) -> Optional[GammaElement]:
+                  max_basis: Optional[int] = DEFAULT_MAX_BASIS) -> Optional[GammaElement]:
     """A primitive element whose image is homologous to the target cycle,
     or None if no such element exists."""
     target = la.normalize(target)
@@ -257,30 +220,21 @@ def find_preimage(s: int, target: LambdaElement,
         return dp.ZERO
     _, d = la.bidegree(target)
     _guard_basis(s, d, max_basis)
-    threads = _worker_count() if threads is None else threads
     prims = dp.primitive_basis(s, d)
-    images = _psi_images(prims, threads)
+    images = [psi(p) for p in prims]
     sl = homology.slice_at(s, d)
-    index = {w: i for i, w in enumerate(sl.basis)}
-    n = len(sl.basis)
-    columns = []
-    for image in images:
-        bits = 0
-        for w in image:
-            bits |= 1 << index[w]
-        columns.append(bits)
-    columns.extend(sl.diff_in.transpose().data)
-    matrix = f2core.BitMatrix.from_rows(n, columns).transpose()
-    bits = 0
-    for w in target:
-        bits |= 1 << index[w]
-    x = f2core.solve(matrix, f2core.BitVector(n, bits))
-    if x is None:
+    # rows 0 .. len(prims)-1 are the primitive images, the rest are boundaries
+    span = f2core.Span()
+    for row in homology.bit_rows(
+            itertools.chain(images, homology.differentials(sl.prev_basis)), sl.basis):
+        span.add(row)
+    residual, x = span.reduce(next(homology.bit_rows([target], sl.basis)))
+    if residual:
         return None
     preimage: set = set()
-    for i in x.support():
-        if i < len(prims):
-            preimage ^= prims[i]
+    for i, p in enumerate(prims):
+        if x >> i & 1:
+            preimage ^= p
     result = frozenset(preimage)
     equal, _ = homology.same_class(psi(result), target)
     if not equal:

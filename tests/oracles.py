@@ -129,3 +129,119 @@ def psi_rank2_oracle(t1: int, t2: int) -> set[tuple[int, int]]:
             w = (t2 - i, j)
             out ^= {w}
     return out
+
+
+def divided_multiply(m1: tuple[int, ...], m2: tuple[int, ...]) -> frozenset:
+    """Product of two same-rank divided-power monomials:
+    a^(i) a^(j) = C(i+j, i) a^(i+j) in each coordinate."""
+    if len(m1) != len(m2):
+        raise ValueError("rank mismatch")
+    if any(not binom2(a + b, a) for a, b in zip(m1, m2)):
+        return frozenset()
+    return frozenset({tuple(a + b for a, b in zip(m1, m2))})
+
+
+# --- GF(2) linear algebra on 0/1 lists -------------------------------------
+#
+# A linear map is given by its image rows: rows[j] is the bit-packed image
+# of the j-th domain vector.  The helpers unpack to lists of 0/1 and share
+# no code with ltk.f2core.
+
+def _bits(x: int, n: int) -> list[int]:
+    return [(x >> i) & 1 for i in range(n)]
+
+
+def _pack(v: list[int]) -> int:
+    return sum(bit << i for i, bit in enumerate(v))
+
+
+def apply_rows(rows: list[int], x: int) -> int:
+    """The image of x: the sum of rows[j] over the bits j of x."""
+    acc = 0
+    for j, row in enumerate(rows):
+        if (x >> j) & 1:
+            acc ^= row
+    return acc
+
+
+def mat_vec(rows: list[int], x: int) -> int:
+    """M x over GF(2), where rows[i] is row i of M (bit j = column j)."""
+    return _pack([bin(row & x).count("1") % 2 for row in rows])
+
+
+def compose(first: list[int], then: list[int]) -> list[int]:
+    """Image rows of `then` after `first`."""
+    return [apply_rows(then, image) for image in first]
+
+
+def kernel_basis(rows: list[int], width: int) -> list[int]:
+    """The free-column kernel basis of the map with these image rows.
+
+    Reduced row echelon form of the matrix whose column j is rows[j];
+    each free column f gives the kernel vector with bit f set and its
+    other bits on pivot columns.
+    """
+    n = len(rows)
+    cols = [_bits(row, width) for row in rows]
+    mat = [[cols[j][i] for j in range(n)] for i in range(width)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pick = next((i for i in range(r, width) if mat[i][c]), None)
+        if pick is None:
+            continue
+        mat[r], mat[pick] = mat[pick], mat[r]
+        for i in range(width):
+            if i != r and mat[i][c]:
+                mat[i] = [a ^ b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = 1
+        for k, p in enumerate(pivots):
+            v[p] = mat[k][f]
+        out.append(_pack(v))
+    return out
+
+
+def rank_of_rows(rows: list[int], width: int) -> int:
+    """Rank by rank-nullity on the free-column kernel."""
+    return len(rows) - len(kernel_basis(rows, width))
+
+
+def image_rows(diff, domain, codomain) -> list[int]:
+    """diff of each domain word, as a bit row over codomain."""
+    index = {w: i for i, w in enumerate(codomain)}
+    rows = []
+    for w in domain:
+        bits = 0
+        for t in diff(frozenset({w})):
+            bits |= 1 << index[t]
+        rows.append(bits)
+    return rows
+
+
+def kernel_elements(diff, domain, codomain) -> list[frozenset]:
+    """The free-column kernel basis of diff on domain, as elements."""
+    kernel = kernel_basis(image_rows(diff, domain, codomain), len(codomain))
+    return [frozenset(w for i, w in enumerate(domain) if (v >> i) & 1) for v in kernel]
+
+
+def brute_kernel_basis(rows: list[int]) -> list[int]:
+    """The free-column kernel basis found by trying every combination.
+
+    Column f is free iff some kernel vector has top bit f; its basis
+    vector is the kernel vector with top bit f whose other bits avoid
+    the free columns.
+    """
+    n = len(rows)
+    kernel = [x for x in range(1, 1 << n) if apply_rows(rows, x) == 0]
+    free = {x.bit_length() - 1 for x in kernel}
+    free_mask = sum(1 << f for f in free)
+    return [next(x for x in kernel
+                 if x.bit_length() - 1 == f and not (x ^ (1 << f)) & free_mask)
+            for f in sorted(free)]

@@ -199,15 +199,3 @@ class TestUsageErrors:
     def test_bad_class(self, capture):
         code, _, _ = capture("verify", "--class", "h9z9")
         assert code == USAGE
-
-    def test_bad_thread_env(self, capture, monkeypatch):
-        monkeypatch.setenv("LTK_THREADS", "zero")
-        code, _, err = capture("homology", "--s", "1", "--deg", "0")
-        assert code == USAGE
-        assert "LTK_THREADS" in err
-
-    def test_thread_env_accepted(self, capture, monkeypatch):
-        monkeypatch.setenv("LTK_THREADS", "2")
-        code, out, _ = capture("transfer-image", "--s", "2", "--deg", "2")
-        assert code == OK
-        assert out.splitlines()[0].startswith("dim =")

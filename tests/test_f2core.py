@@ -9,14 +9,19 @@ from ltk.f2core import (
     BitVector,
     Span,
     binom_mod2,
-    kernel_basis,
-    mat_mul,
-    mat_vec,
     rank,
     solve,
 )
 
-from .oracles import binom2
+from .oracles import (
+    apply_rows,
+    binom2,
+    brute_kernel_basis,
+    compose,
+    kernel_basis,
+    mat_vec,
+    rank_of_rows,
+)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, density: float = 0.5) -> BitMatrix:
@@ -28,6 +33,18 @@ def random_matrix(rng: random.Random, rows: int, cols: int, density: float = 0.5
                 bits |= 1 << j
         data.append(bits)
     return BitMatrix(rows, cols, tuple(data))
+
+
+def identity(n: int) -> BitMatrix:
+    return BitMatrix.from_rows(n, [1 << i for i in range(n)])
+
+
+def column_span(m: BitMatrix) -> Span:
+    """The columns of m added in order, so the kernel is {x : Mx = 0}."""
+    span = Span()
+    for column in m.transpose().data:
+        span.add(column)
+    return span
 
 
 class TestBinomMod2:
@@ -82,10 +99,10 @@ class TestBitVector:
 
 class TestRank:
     def test_zero_matrix(self):
-        assert rank(BitMatrix.zero(4, 7)) == 0
+        assert rank(BitMatrix.from_rows(7, [0] * 4)) == 0
 
     def test_identity(self):
-        assert rank(BitMatrix.identity(9)) == 9
+        assert rank(identity(9)) == 9
 
     def test_invariant_under_row_operations(self):
         rng = random.Random(11)
@@ -112,23 +129,23 @@ class TestRank:
 class TestKernelAndSolve:
     def test_solve_identity(self):
         b = BitVector.from_support(3, [0, 2])
-        assert solve(BitMatrix.identity(3), b) == b
+        assert solve(identity(3), b) == b
 
     def test_rank_nullity_and_recheck_40x60(self):
         rng = random.Random(23)
         m = random_matrix(rng, 40, 60)
-        basis = kernel_basis(m)
+        basis = column_span(m).kernel
         assert rank(m) + len(basis) == 60
         for v in basis:
-            assert mat_vec(m, v).bits == 0
+            assert mat_vec(m.data, v) == 0
 
     def test_kernel_vectors_independent(self):
         rng = random.Random(3)
         for _ in range(15):
             m = random_matrix(rng, rng.randrange(1, 10), rng.randrange(1, 14))
-            basis = kernel_basis(m)
+            basis = column_span(m).kernel
             if basis:
-                km = BitMatrix.from_rows(m.cols, [v.bits for v in basis])
+                km = BitMatrix.from_rows(m.cols, basis)
                 assert rank(km) == len(basis)
 
     def test_solve_constructed_systems(self):
@@ -136,10 +153,10 @@ class TestKernelAndSolve:
         for _ in range(40):
             m = random_matrix(rng, rng.randrange(1, 12), rng.randrange(1, 12))
             x0 = BitVector(m.cols, rng.getrandbits(m.cols))
-            b = mat_vec(m, x0)
+            b = BitVector(m.rows, mat_vec(m.data, x0.bits))
             x = solve(m, b)
             assert x is not None
-            assert mat_vec(m, x) == b
+            assert mat_vec(m.data, x.bits) == b.bits
 
     def test_solve_detects_unsolvable(self):
         rng = random.Random(13)
@@ -155,14 +172,14 @@ class TestKernelAndSolve:
                                       for i, r in enumerate(m.data)))
                 assert rank(aug) == rank(m) + 1
             else:
-                assert mat_vec(m, x) == b
+                assert mat_vec(m.data, x.bits) == b.bits
         assert seen_unsolvable > 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            solve(BitMatrix.identity(3), BitVector(4))
+            solve(identity(3), BitVector(4))
         with pytest.raises(ValueError):
-            mat_vec(BitMatrix.identity(3), BitVector(4))
+            BitMatrix.from_rows(3, [1 << 3])
 
 
 class TestMatrixOps:
@@ -172,17 +189,18 @@ class TestMatrixOps:
         assert m.transpose().transpose() == m
 
     def test_mat_mul_against_entries(self):
+        # the composition oracle, against the entrywise matrix product
         rng = random.Random(9)
         for _ in range(20):
             a = random_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7))
             b = random_matrix(rng, a.cols, rng.randrange(1, 7))
-            c = mat_mul(a, b)
-            for i in range(c.rows):
-                for j in range(c.cols):
+            c = compose(a.data, b.data)
+            for i in range(a.rows):
+                for j in range(b.cols):
                     acc = 0
                     for k in range(a.cols):
-                        acc ^= a.entry(i, k) & b.entry(k, j)
-                    assert c.entry(i, j) == acc
+                        acc ^= (a.data[i] >> k) & (b.data[k] >> j) & 1
+                    assert (c[i] >> j) & 1 == acc
 
     def test_span_matches_rank(self):
         rng = random.Random(17)
@@ -190,4 +208,23 @@ class TestMatrixOps:
             m = random_matrix(rng, rng.randrange(1, 14), rng.randrange(1, 14))
             span = Span()
             added = sum(1 for row in m.data if span.add(row))
-            assert added == rank(m) == len(span)
+            assert added == rank(m) == len(span) == rank_of_rows(list(m.data), m.cols)
+
+    def test_span_provenance_and_kernel_on_random_matrices(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            m = random_matrix(rng, rng.randrange(1, 10), rng.randrange(0, 10))
+            rows = list(m.data)
+            span = Span()
+            for row in rows:
+                span.add(row)
+            for row in rows:
+                residual, provenance = span.reduce(row)
+                assert residual == 0 and apply_rows(rows, provenance) == row
+            for _ in range(10):
+                target = rng.getrandbits(m.cols)
+                residual, provenance = span.reduce(target)
+                assert residual ^ apply_rows(rows, provenance) == target
+                assert (residual == 0) == (rank(BitMatrix.from_rows(m.cols, rows + [target]))
+                                           == len(span))
+            assert span.kernel == brute_kernel_basis(rows) == kernel_basis(rows, m.cols)

@@ -8,6 +8,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ class CommandConfig:
     max_basis: Optional[int] = transfer.DEFAULT_MAX_BASIS
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ltk",
@@ -69,8 +71,9 @@ def _parser() -> argparse.ArgumentParser:
 
     add("normalize", "rewrite a Lambda element to its admissible form", infile=True)
     add("diff", "differential of a Lambda element", infile=True)
-    add("basis", "admissible basis of a bidegree", s=True, deg=True)
-    add("homology", "cohomology dimension at a bidegree", s=True, deg=True)
+    add("basis", "admissible basis of a bidegree", s=True, deg=True, force=True)
+    add("homology", "cohomology dimension at a bidegree", s=True, deg=True,
+        force=True)
     add("sq0", "apply the squaring endomorphism", infile=True)
     sp = add("steenrod", "right action of a Steenrod square", rank=True, infile=True)
     sp.add_argument("--deg", type=int, required=True, help="degree of the square")
@@ -142,13 +145,29 @@ def _cmd_sq0(cfg: CommandConfig) -> int:
     return OK
 
 
+def _guard_words(cfg: CommandConfig, *bidegrees: tuple[int, int]) -> None:
+    """Refuse, before enumerating anything, admissible bases over the cap."""
+    if cfg.max_basis is None:
+        return
+    for s, d in bidegrees:
+        if la.admissible_count(s, d, cfg.max_basis) > cfg.max_basis:
+            raise transfer.ResourceLimitError(
+                f"admissible basis at ({s}, {d}) has more than {cfg.max_basis} "
+                f"words; pass --force to proceed"
+            )
+
+
 def _cmd_basis(cfg: CommandConfig) -> int:
+    _guard_words(cfg, (cfg.s, cfg.deg))
     words = la.admissible_basis(cfg.s, cfg.deg)
     _emit_basis(cfg, [elements_io.serialize_lambda(frozenset({w})) for w in words])
     return OK
 
 
 def _cmd_homology(cfg: CommandConfig) -> int:
+    # ext_dimension differentiates (s-1, d+1) and (s, d) into (s+1, d-1)
+    _guard_words(cfg, (cfg.s - 1, cfg.deg + 1), (cfg.s, cfg.deg),
+                 (cfg.s + 1, cfg.deg - 1))
     dim = homology.ext_dimension(cfg.s, cfg.deg)
     if cfg.fmt == "json":
         _emit_json(s=cfg.s, deg=cfg.deg, dim=dim)

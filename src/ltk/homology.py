@@ -2,11 +2,13 @@
 
 Each bidegree slice carries the admissible basis and the echelon span of
 the boundaries in it, whose provenance records which words of the
-previous slice produce each boundary.  Every class-level question (is
-this a boundary, are these two cycles homologous, what is the Ext
-dimension) reduces to a rank or a reduction against such a span.
-Witnesses are always re-verified by applying the differential before
-they are returned.
+previous slice produce each boundary.  Class-level questions (is this a
+boundary, are these two cycles homologous) reduce to a reduction against
+such a span.  Ext dimensions need ranks only: the rank of the
+differential out of each bidegree is kept in a memo of plain ints, filled
+by slice_at or computed once, so each differential image is built at
+most once per process.  Witnesses are always re-verified by applying the
+differential before they are returned.
 """
 
 from __future__ import annotations
@@ -65,18 +67,38 @@ def _image_span(domain: tuple[LambdaMonomial, ...],
     return span
 
 
+# rank of the differential out of (s, d), into (s+1, d-1); only ints are
+# kept, since a cached span or slice would hold its bases in memory
+_RANK_OUT: dict[tuple[int, int], int] = {}
+
+
+def rank_out(s: int, d: int) -> int:
+    """Rank of the differential from (s, d) to (s+1, d-1), computed once."""
+    if s < 0 or d < 1:
+        return 0
+    rank = _RANK_OUT.get((s, d))
+    if rank is None:
+        rank = _RANK_OUT[s, d] = len(_image_span(
+            la.admissible_basis(s, d), la.admissible_basis(s + 1, d - 1)))
+    return rank
+
+
 @functools.cache
 def slice_at(s: int, d: int) -> BidegreeSlice:
-    """Build (and cache) the chain slice at bidegree (s, d)."""
+    """Build (and cache) the chain slice at bidegree (s, d), recording
+    the rank of its boundaries as rank_out(s - 1, d + 1)."""
     basis = la.admissible_basis(s, d)
     prev_basis = la.admissible_basis(s - 1, d + 1) if s >= 1 else ()
+    boundaries = _image_span(prev_basis, basis)
+    if s >= 1:
+        _RANK_OUT[s - 1, d + 1] = len(boundaries)
     return BidegreeSlice(
         s=s,
         d=d,
         basis=basis,
         prev_basis=prev_basis,
         next_basis=la.admissible_basis(s + 1, d - 1) if d >= 1 else (),
-        boundaries=_image_span(prev_basis, basis),
+        boundaries=boundaries,
     )
 
 
@@ -120,13 +142,15 @@ def is_boundary(r: LambdaElement) -> bool:
 
 @functools.cache
 def ext_dimension(s: int, d: int) -> int:
-    """dim of the cohomology at (s, d): cycles modulo boundaries."""
+    """dim of the cohomology at (s, d): cycles modulo boundaries.
+
+    By rank-nullity this is the basis size less the ranks of the
+    differentials out of (s, d) and into it, both read from the rank
+    memo; no slice is built.
+    """
     if s < 0 or d < 0:
         raise ValueError("bidegree components must be non-negative")
-    sl = slice_at(s, d)
-    # a throwaway span: slice_at(s+1, d-1) would also enumerate (s+2, d-2)
-    cycles = len(sl.basis) - len(_image_span(sl.basis, sl.next_basis))
-    return cycles - len(sl.boundaries)
+    return len(la.admissible_basis(s, d)) - rank_out(s, d) - rank_out(s - 1, d + 1)
 
 
 def _require_cycle(e: LambdaElement) -> LambdaElement:

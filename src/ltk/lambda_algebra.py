@@ -88,13 +88,6 @@ def adem_expand_pair(k: int, m: int) -> LambdaElement:
     return frozenset(_pair_expansion(k, m))
 
 
-def _first_bad(w: LambdaMonomial) -> Optional[int]:
-    for i in range(len(w) - 1):
-        if w[i + 1] > 2 * w[i]:
-            return i
-    return None
-
-
 def _last_bad(w: LambdaMonomial) -> Optional[int]:
     for i in range(len(w) - 2, -1, -1):
         if w[i + 1] > 2 * w[i]:
@@ -109,16 +102,23 @@ def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
     sweep; both orders reach the same normal form (this is exercised by
     the test suite) but "leftmost" is the canonical evaluation order.
     """
-    try:
-        find = {"leftmost": _first_bad, "rightmost": _last_bad}[strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}") from None
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    rightmost = strategy == "rightmost"
     current: set[LambdaMonomial] = set(e)
     done: set[LambdaMonomial] = set()
     while current:
         nxt: set[LambdaMonomial] = set()
         for w in current:
-            i = find(w)
+            if rightmost:
+                i = _last_bad(w)
+            else:
+                # the leftmost violation, scanned inline: this loop is hot
+                i = None
+                for j in range(len(w) - 1):
+                    if w[j + 1] > 2 * w[j]:
+                        i = j
+                        break
             if i is None:
                 done ^= {w}
                 continue
@@ -175,6 +175,13 @@ def sq0(e: LambdaElement) -> LambdaElement:
     return normalize(frozenset(raw))
 
 
+def _least_first(slots: int, remaining: int) -> int:
+    """The smallest first letter of an admissible word of `slots` letters
+    and degree `remaining`: a first letter t reaches at most t + 2t + 4t
+    + ... = t * (2^slots - 1)."""
+    return -(-remaining // ((1 << slots) - 1))
+
+
 @functools.cache
 def admissible_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
     """All admissible words of length s and degree d, in ascending lex order."""
@@ -188,13 +195,49 @@ def admissible_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
                 out.append(prefix)
             return
         hi = remaining if cap is None else min(cap, remaining)
-        for t in range(hi + 1):
-            rest = remaining - t
-            # max degree the remaining slots can still reach: 2t + 4t + ...
-            if rest > 2 * t * ((1 << (slots - 1)) - 1):
-                continue
-            extend(prefix + (t,), 2 * t, rest, slots - 1, out)
+        for t in range(_least_first(slots, remaining), hi + 1):
+            extend(prefix + (t,), 2 * t, remaining - t, slots - 1, out)
 
     words: list[LambdaMonomial] = []
     extend((), None, d, s, words)
     return tuple(words)
+
+
+@functools.cache
+def _count_words(slots: int, remaining: int, top: int, cap: int) -> int:
+    """Admissible words of `slots` >= 1 letters and degree `remaining`
+    whose first letter is at most `top`; cap + 1 stands for any count
+    above cap."""
+    lo, hi = _least_first(slots, remaining), min(top, remaining)
+    if slots == 1:
+        return int(lo <= hi)
+    if slots == 2:
+        return min(max(0, hi - lo + 1), cap + 1)
+    total = 0
+    for t in range(lo, hi + 1):
+        total += _count_words(slots - 1, remaining - t, 2 * t, cap)
+        if total > cap:
+            return cap + 1
+    return total
+
+
+def admissible_count(s: int, d: int, cap: int) -> int:
+    """The size of admissible_basis(s, d), or cap + 1 if it exceeds cap.
+
+    Nothing is enumerated, so a bidegree too large to enumerate is
+    refused in milliseconds.  Zero for a negative component.
+    """
+    if s < 0 or d < 0:
+        return 0
+    if d == 0:
+        return 1  # the word of s zeros
+    # a word of degree d has at most d nonzero letters, all before its zeros
+    s = min(s, d)
+    count = 0
+    # zeros appended to a shorter word keep it admissible, so the count
+    # grows with s: a cheap count at a shorter length can refuse first
+    for k in range(1, s + 1):
+        count = _count_words(k, d, d, cap)
+        if count > cap:
+            break
+    return count

@@ -215,6 +215,8 @@ def find_preimage(s: int, target: LambdaElement,
     target = la.normalize(target)
     if not homology.is_cycle(target):
         raise homology.NotACycleError("target is not a cycle")
+    if target and (length := la.bidegree(target).s) != s:
+        raise ValueError(f"target words have length {length}, but s = {s}")
     # a trivial class is hit by the zero element; prefer that canonical answer
     if homology.boundary_witness(target) is not None:
         return dp.ZERO

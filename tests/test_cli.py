@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from ltk import catalog, elements_io
-from ltk.cli import FALSIFIED, OK, USAGE, run
+from ltk.cli import FALSIFIED, OK, USAGE, _parser, run
+from ltk.lambda_algebra import product
 
 
 @pytest.fixture()
@@ -175,10 +177,36 @@ class TestTransferCommands:
         assert code == USAGE
         assert "cycle" in err
 
+    @pytest.mark.parametrize("s", ["4", "6"])
+    def test_find_preimage_length_mismatch(self, capture, tmp_path, s):
+        target = elements_io.serialize_lambda(
+            product(catalog.entry("d0").element, catalog.entry("h0").element))
+        path = write(tmp_path, "h0d0.f2elt", target)
+        code, out, err = capture("find-preimage", "--s", s, "--in", path)
+        assert code == USAGE
+        assert out == ""
+        assert err == f"error: target words have length 5, but s = {s}\n"
+
     def test_resource_guard_exit_code(self, capture):
         code, _, err = capture("transfer-image", "--s", "5", "--deg", "100")
         assert code == USAGE
         assert "resource limit" in err
+
+    @pytest.mark.parametrize("command", ["basis", "homology"])
+    def test_lambda_basis_guard_refuses_quickly(self, capture, command):
+        # (7, 40) has 253,133 admissible words
+        start = time.perf_counter()
+        code, out, err = capture(command, "--s", "7", "--deg", "40")
+        assert time.perf_counter() - start < 1.0
+        assert code == USAGE
+        assert out == ""
+        assert err.startswith("resource limit: admissible basis at (")
+        assert "--force" in err
+
+    @pytest.mark.parametrize("command", ["basis", "homology"])
+    def test_force_accepted_by_parser(self, command):
+        args = _parser().parse_args([command, "--s", "7", "--deg", "40", "--force"])
+        assert args.force
 
 
 class TestUsageErrors:
@@ -199,3 +227,20 @@ class TestUsageErrors:
     def test_bad_class(self, capture):
         code, _, _ = capture("verify", "--class", "h9z9")
         assert code == USAGE
+
+
+class TestConsecutiveRuns:
+    def test_json_then_text(self, capture):
+        code, out, _ = capture("homology", "--s", "5", "--deg", "14", "--format", "json")
+        assert code == OK
+        assert json.loads(out) == {"schema": 1, "s": 5, "deg": 14, "dim": 1}
+        code, out, _ = capture("homology", "--s", "5", "--deg", "14")
+        assert code == OK
+        assert out == "dim = 1\n"
+
+    def test_usage_error_then_valid_call(self, capture):
+        code, out, err = capture("homology", "--s", "5")
+        assert code == USAGE
+        assert "--deg" in err
+        code, out, err = capture("basis", "--s", "2", "--deg", "2")
+        assert (code, out, err) == (OK, "L[1,1]\nL[2,0]\n", "count = 2\n")

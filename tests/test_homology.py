@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ltk import catalog
+from ltk import catalog, homology, lambda_algebra
 from ltk.f2core import BitMatrix, rank
 from ltk.homology import (
     NotACycleError,
@@ -13,11 +13,13 @@ from ltk.homology import (
     ext_dimension,
     is_boundary,
     is_cycle,
+    rank_out,
     same_class,
     slice_at,
 )
 from ltk.lambda_algebra import (
     ZERO,
+    admissible_basis,
     differential,
     element,
     normalize,
@@ -187,6 +189,69 @@ class TestExtDimension:
                 in_rows, _ = matrix_rows(s - 1, d + 1) if s >= 1 else ([], 0)
                 expected = (n - local_rank(out_rows)) - local_rank(in_rows)
                 assert ext_dimension(s, d) == expected, (s, d)
+
+
+@pytest.fixture()
+def fresh_caches():
+    """Empty the rank memo and the caches that read or fill it."""
+    def clear():
+        homology._RANK_OUT.clear()
+        slice_at.cache_clear()
+        ext_dimension.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def counting_differential(monkeypatch) -> list[int]:
+    """Count the words put through lambda_algebra.differential."""
+    calls = [0]
+    inner = lambda_algebra.differential
+
+    def counted(e):
+        calls[0] += len(e)
+        return inner(e)
+    monkeypatch.setattr(lambda_algebra, "differential", counted)
+    return calls
+
+
+class TestRankMemo:
+    GRID = [(s, t - s) for t in range(13) for s in range(t + 1)]
+
+    @pytest.mark.parametrize("with_slices", [False, True])
+    def test_ext_dimension_matches_oracle_in_any_order(self, with_slices, fresh_caches):
+        def oracle(s, d):
+            domain = admissible_words_brute(s, d)
+            codomain = admissible_words_brute(s + 1, d - 1) if d else []
+            nullity = len(kernel_basis(image_rows(domain, codomain), len(codomain)))
+            prev = admissible_words_brute(s - 1, d + 1) if s else []
+            return nullity - rank_of_rows(image_rows(prev, domain), len(domain))
+
+        expected = {cell: oracle(*cell) for cell in self.GRID}
+        rng = random.Random(59 + with_slices)
+        cells = list(self.GRID)
+        rng.shuffle(cells)
+        for cell in cells:
+            if with_slices:
+                # slice_at fills the memo from the other side
+                slice_at(*rng.choice(self.GRID))
+            assert ext_dimension(*cell) == expected[cell], cell
+
+    def test_each_word_differentiated_once(self, fresh_caches, monkeypatch):
+        calls = counting_differential(monkeypatch)
+        grid = [(s, t - s) for t in range(11) for s in range(t + 1)]
+        dims = [ext_dimension(s, d) for s, d in grid]
+        assert calls[0] == sum(len(admissible_basis(s, d)) for s, d in grid if d >= 1)
+        ext_dimension.cache_clear()
+        assert [ext_dimension(s, d) for s, d in grid] == dims
+        assert calls[0] == sum(len(admissible_basis(s, d)) for s, d in grid if d >= 1)
+
+    def test_slice_fills_the_incoming_rank(self, fresh_caches, monkeypatch):
+        sl = slice_at(4, 10)
+        calls = counting_differential(monkeypatch)
+        assert ext_dimension(4, 10) == len(sl.basis) - rank_out(4, 10) - len(sl.boundaries)
+        # only the outgoing differential of (4, 10) was new
+        assert calls[0] == len(sl.basis)
 
 
 class TestSameClass:

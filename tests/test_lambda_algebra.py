@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from ltk.lambda_algebra import (
     Bidegree,
     adem_expand_pair,
     admissible_basis,
+    admissible_count,
     bidegree,
     differential,
     element,
@@ -123,10 +125,17 @@ class TestNormalize:
 
     def test_strategy_independent(self):
         rng = random.Random(47)
+        fixed = [ZERO, UNIT] + [element((t,)) for t in range(10)]
+        for e in fixed:
+            assert normalize(e, "leftmost") == normalize(e, "rightmost") == e
         for _ in range(120):
             e = element(*(random_word(rng, max_len=5, max_idx=25)
                           for _ in range(rng.randrange(1, 4))))
             assert normalize(e, "leftmost") == normalize(e, "rightmost")
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError):
+            normalize(element((0, 2)), "middle")
 
     def test_linear(self):
         rng = random.Random(53)
@@ -263,6 +272,26 @@ class TestAdmissibleBasis:
         for s in range(0, 5):
             for d in range(0, 13):
                 assert list(admissible_basis(s, d)) == admissible_words_brute(s, d)
+
+    def test_count_matches_enumeration(self):
+        for s in range(0, 7):
+            for d in range(0, 22):
+                n = len(admissible_basis(s, d))
+                assert admissible_count(s, d, 10 ** 9) == n, (s, d)
+                assert admissible_count(s, d, n) == n
+                if n:
+                    assert admissible_count(s, d, n - 1) == n, (s, d)
+        assert admissible_count(-1, 3, 10) == admissible_count(3, -1, 10) == 0
+
+    def test_count_refuses_huge_bidegrees_quickly(self):
+        # (7, 40) has 253,133 words; the others would take far longer
+        for s, d in [(7, 40), (3, 10 ** 6), (4, 1023), (1000, 10 ** 6), (40, 40)]:
+            start = time.perf_counter()
+            assert admissible_count(s, d, 200_000) == 200_001, (s, d)
+            assert time.perf_counter() - start < 1.0, (s, d)
+        assert admissible_count(10 ** 6, 0, 10) == 1
+        assert admissible_count(1, 10 ** 9, 10) == 1
+        assert admissible_basis(1, 10 ** 9) == ((10 ** 9,),)
 
     def test_sorted_and_admissible(self):
         basis = admissible_basis(5, 24)

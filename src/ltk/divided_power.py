@@ -10,6 +10,14 @@ action of a square on one divided power is
 extended over products by the Cartan formula, i.e. by summing over all
 ways to distribute i among the factors.  A factor absorbs Sq^i only when
 2i <= j, so the whole action vanishes whenever 2i exceeds the degree.
+
+The kernel, _sq_monomial, folds the factors left to right.  The squares
+one factor a^(t) absorbs (the i <= t/2 with C(t-i, i) odd) come from a
+table per exponent value.  A partial distribution survives only while
+the factors after it can still absorb its remainder, at most the sum of
+their t // 2, so every surviving state ends at remainder 0.  Distinct
+distributions give distinct monomials, so nothing cancels within one
+monomial and the states need no mod-2 bookkeeping.
 """
 
 from __future__ import annotations
@@ -64,19 +72,35 @@ def is_homogeneous(e: GammaElement) -> bool:
     return len({sum(m) for m in e}) <= 1
 
 
+@functools.cache
+def _absorbs(t: int) -> tuple[int, ...]:
+    """The squares a^(t) absorbs: every ik <= t/2 with C(t - ik, ik) odd."""
+    return tuple(ik for ik in range(t // 2 + 1) if binom_mod2(t - ik, ik))
+
+
 def _sq_monomial(m: GammaMonomial, i: int) -> frozenset:
-    """Cartan expansion of one monomial under Sq^i, as a parity set."""
-    # states: partial exponent tuple -> remaining square degree, folded
-    # left to right; parity handled by symmetric difference.
-    states: set[tuple[GammaMonomial, int]] = {((), i)}
-    for t in m:
-        nxt: set[tuple[GammaMonomial, int]] = set()
+    """Cartan expansion of one monomial under Sq^i."""
+    # room[k]: the most that the factors k, k+1, ... can absorb together
+    room = [0] * (len(m) + 1)
+    for k in range(len(m) - 1, -1, -1):
+        room[k] = room[k + 1] + m[k] // 2
+    if i > room[0]:
+        return frozenset()
+    # states: (partial exponent tuple, remaining square degree), folded
+    # left to right, kept only while the factors after it can absorb the
+    # rest; distinct distributions give distinct monomials, so no parity
+    states: list[tuple[GammaMonomial, int]] = [((), i)]
+    for k, t in enumerate(m):
+        after = room[k + 1]
+        nxt = []
         for partial, rem in states:
-            for ik in range(min(rem, t // 2) + 1):
-                if binom_mod2(t - ik, ik):
-                    nxt ^= {(partial + (t - ik,), rem - ik)}
+            for ik in _absorbs(t):
+                if ik > rem:
+                    break
+                if rem - ik <= after:
+                    nxt.append((partial + (t - ik,), rem - ik))
         states = nxt
-    return frozenset(partial for partial, rem in states if rem == 0)
+    return frozenset(partial for partial, _ in states)
 
 
 def sq_right(e: GammaElement, i: int) -> GammaElement:

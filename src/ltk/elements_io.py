@@ -3,6 +3,7 @@
     element     := "0" | term ("+" term)*
     lambda term := "L[" int ("," int)* "]" | "L[]"
     gamma term  := "a(" int ("," int)* ")"
+    int         := [0-9]+
 
 Whitespace is insignificant between tokens.  Coefficients are never
 written: a term's presence means coefficient 1, and repeated terms
@@ -22,7 +23,7 @@ from . import lambda_algebra as la
 if TYPE_CHECKING:
     from .transfer import DetectionReport
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 FILE_EXTENSION = ".f2elt"
 
 
@@ -72,11 +73,12 @@ class _Scanner:
         self.skip_ws()
         if self.peek() == "-":
             raise self.error("negative index rejected")
-        if not self.peek().isdigit():
+        # ASCII digits only: str.isdigit also accepts '²' and '٣'
+        if not "0" <= self.peek() <= "9":
             found = repr(self.peek()) if self.peek() else "end of input"
             raise self.error(f"expected integer, found {found}")
         digits = ""
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             digits += self.advance()
         return int(digits)
 
@@ -222,9 +224,11 @@ def _report_dict(r: "DetectionReport") -> dict:
             "element": serialize_lambda(r.target),
             "nonzero": r.target_nonzero,
         },
+        "same_class_ok": r.same_class_ok,
         "witness": None if r.witness is None else serialize_lambda(r.witness),
         "ext_dim": {"computed": r.ext_dim, "expected": r.expected_dim},
         "verdict": r.verdict,
+        "failed_checks": list(r.failed_checks),
     }
 
 

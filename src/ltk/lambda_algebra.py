@@ -192,14 +192,17 @@ def admissible_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
                slots: int, out: list[LambdaMonomial]) -> None:
         if slots == 0:
             if remaining == 0:
-                out.append(prefix)
+                out.append(prefix + pad)
             return
         hi = remaining if cap is None else min(cap, remaining)
         for t in range(_least_first(slots, remaining), hi + 1):
             extend(prefix + (t,), 2 * t, remaining - t, slots - 1, out)
 
+    # a word of degree d has at most d nonzero letters, all before its
+    # zeros: enumerate min(s, d) letters and pad, recursing at most d deep
+    pad = (0,) * max(s - d, 0)
     words: list[LambdaMonomial] = []
-    extend((), None, d, s, words)
+    extend((), None, d, s - len(pad), words)
     return tuple(words)
 
 

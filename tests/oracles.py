@@ -116,6 +116,17 @@ def sq_right_dual_oracle(e: frozenset, i: int) -> frozenset:
     return frozenset(out)
 
 
+def sq_right_dual_table(rank: int, degree: int, i: int) -> dict:
+    """(m)Sq^i for every monomial m of the given rank and degree at once,
+    through the same duality: a is a term of (m)Sq^i exactly when m is a
+    term of Sq^i(x^a)."""
+    table = {tuple(m): set() for m in compositions(rank, degree)}
+    for a in compositions(rank, degree - i):
+        for m in poly_sq_monomial(tuple(a), i):
+            table[m].add(tuple(a))
+    return {m: frozenset(img) for m, img in table.items()}
+
+
 def psi_rank2_oracle(t1: int, t2: int) -> set[tuple[int, int]]:
     """Raw two-letter words of the transfer image of a^(t1) a^(t2).
 

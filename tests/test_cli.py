@@ -48,7 +48,7 @@ class TestElementCommands:
         path = write(tmp_path, "e.f2elt", "L[0,2]")
         code, out, _ = capture("normalize", "--in", path, "--format", "json")
         assert code == OK
-        assert json.loads(out) == {"schema": 1, "element": "L[1,1]"}
+        assert json.loads(out) == {"schema": 2, "element": "L[1,1]"}
 
     def test_steenrod(self, capture, tmp_path):
         path = write(tmp_path, "g.f2elt", "a(2)")
@@ -72,7 +72,17 @@ class TestBasisAndHomology:
     def test_homology_json(self, capture):
         code, out, _ = capture("homology", "--s", "1", "--deg", "2", "--format", "json")
         assert code == OK
-        assert json.loads(out) == {"schema": 1, "s": 1, "deg": 2, "dim": 0}
+        assert json.loads(out) == {"schema": 2, "s": 1, "deg": 2, "dim": 0}
+
+    @pytest.mark.parametrize("command, deg, expected", [
+        ("basis", "0", "L[" + ",".join(["0"] * 5000) + "]\n"),
+        ("homology", "1", "dim = 0\n"),
+    ], ids=["basis", "homology"])
+    def test_very_long_words_computed_quickly(self, capture, command, deg, expected):
+        start = time.perf_counter()
+        code, out, _ = capture(command, "--s", "5000", "--deg", deg)
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (OK, expected)
 
 
 class TestPrimitiveCommands:
@@ -129,6 +139,22 @@ class TestVerify:
         assert code == FALSIFIED
         assert "falsified" in out
         assert "failed:" in err
+
+    @pytest.mark.parametrize("case", ["mutant", "wrong-degree"])
+    def test_verify_json_names_the_failed_checks(self, capture, tmp_path, case):
+        u14 = catalog.entry("u14").element
+        text = {"mutant": elements_io.serialize_gamma(u14 ^ {min(u14)}),
+                "wrong-degree": "a(0,6,5,1,1)"}[case]
+        path = write(tmp_path, "mut.f2elt", text)
+        code, _, err = capture("verify", "--class", "h0d0", "--in", path)
+        assert code == FALSIFIED
+        code, out, json_err = capture("verify", "--class", "h0d0", "--in", path,
+                                      "--format", "json")
+        assert code == FALSIFIED
+        assert json_err == err
+        data = json.loads(out)
+        assert data["failed_checks"]
+        assert err == f"failed: {', '.join(data['failed_checks'])}\n"
 
     def test_verify_custom_input_wrong_degree(self, capture, tmp_path):
         path = write(tmp_path, "short.f2elt", "a(0,6,5,1,1)")
@@ -233,7 +259,7 @@ class TestConsecutiveRuns:
     def test_json_then_text(self, capture):
         code, out, _ = capture("homology", "--s", "5", "--deg", "14", "--format", "json")
         assert code == OK
-        assert json.loads(out) == {"schema": 1, "s": 5, "deg": 14, "dim": 1}
+        assert json.loads(out) == {"schema": 2, "s": 5, "deg": 14, "dim": 1}
         code, out, _ = capture("homology", "--s", "5", "--deg", "14")
         assert code == OK
         assert out == "dim = 1\n"

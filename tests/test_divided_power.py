@@ -8,6 +8,8 @@ import pytest
 from ltk import catalog, f2core
 from ltk.divided_power import (
     ZERO,
+    _generator_squares,
+    _sq_monomial,
     degree_of,
     element,
     gamma_basis,
@@ -17,7 +19,12 @@ from ltk.divided_power import (
     sq_right,
 )
 
-from .oracles import divided_multiply, sq_right_dual_oracle
+from .oracles import (
+    compositions,
+    divided_multiply,
+    sq_right_dual_oracle,
+    sq_right_dual_table,
+)
 
 
 def random_gamma(rng: random.Random, rank: int, degree: int, terms: int = 3):
@@ -97,6 +104,29 @@ class TestSqRight:
             e = random_gamma(rng, rank, d, terms=rng.randrange(1, 4))
             i = rng.randrange(0, d + 1)
             assert sq_right(e, i) == sq_right_dual_oracle(e, i), (sorted(e), i)
+
+    def test_every_small_monomial_against_oracle(self):
+        for rank in range(1, 5):
+            for d in range(13):
+                for i in range(d // 2 + 2):
+                    table = sq_right_dual_table(rank, d, i)
+                    for m, image in table.items():
+                        assert sq_right(frozenset({m}), i) == image, (m, i)
+
+    @pytest.mark.parametrize("name", ["u14", "u20", "u24"])
+    def test_catalog_inputs_against_oracle(self, name):
+        u = catalog.entry(name).element
+        for i in _generator_squares(degree_of(u)):
+            assert sq_right(u, i) == sq_right_dual_oracle(u, i), i
+
+    def test_nothing_beyond_the_room(self):
+        # a^(t) absorbs at most t // 2, so Sq^i kills m once i exceeds the sum
+        for rank in range(1, 5):
+            for d in range(13):
+                for m in compositions(rank, d):
+                    room = sum(t // 2 for t in m)
+                    for i in range(room + 1, d + 2):
+                        assert _sq_monomial(m, i) == ZERO, (m, i)
 
     def test_cartan_over_products(self):
         rng = random.Random(19)
@@ -188,6 +218,7 @@ class TestPrimitiveBasis:
     def test_u14_lies_in_primitive_span(self):
         u14 = catalog.entry("u14").element
         basis = primitive_basis(5, 14)
+        assert len(basis) == 320
         index = {m: i for i, m in enumerate(gamma_basis(5, 14))}
         rows = []
         for e in basis:

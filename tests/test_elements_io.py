@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltk import catalog
 from ltk import divided_power as dp
@@ -46,6 +48,14 @@ class TestParseLambda:
     def test_negative_index_rejected(self):
         with pytest.raises(ParseError, match="negative"):
             parse_lambda("L[3,-1]")
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # '²', Arabic-Indic 3
+    def test_non_ascii_digit_rejected(self, digit):
+        # str.isdigit accepts both; the grammar's int is [0-9]+
+        with pytest.raises(ParseError) as err:
+            parse_lambda(f"L[{digit}]")
+        assert str(err.value) == (f"expected integer, found {digit!r} "
+                                  f"(line 1, column 3)")
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as err:
@@ -134,6 +144,57 @@ class TestFuzzing:
                             parse_lambda(broken)
 
 
+# the grammar's characters plus ones it must refuse: non-ASCII digits
+# ('²' and '٣' pass str.isdigit), a letter and a minus sign
+FUZZ_ALPHABET = "La[](),+0123456789 \t\n-x\u00b2\u0663"
+GRAMMAR_CHARS = set("La[](),+0123456789 \t\r\n")
+FUZZ = settings(derandomize=True, deadline=None, database=None,
+                max_examples=300)
+
+lambda_elements = st.lists(st.lists(st.integers(0, 40), max_size=4),
+                           max_size=4).map(lambda ws: la.element(*ws))
+gamma_elements = st.lists(st.tuples(*[st.integers(0, 40)] * 5),
+                          max_size=4).map(lambda ms: dp.element(*ms))
+
+
+def _parse_all(text):
+    """Run text through every parser; each must return or raise ParseError."""
+    for parse in (parse_lambda, lambda t: parse_gamma(t, 5), parse_document):
+        try:
+            parse(text)
+        except ParseError:
+            continue
+        # only the grammar's own ASCII characters can make up accepted text
+        assert set(text) <= GRAMMAR_CHARS, text
+
+
+class TestHypothesisFuzz:
+    @FUZZ
+    @given(st.text(alphabet=FUZZ_ALPHABET, max_size=30))
+    def test_arbitrary_text(self, text):
+        _parse_all(text)
+
+    @FUZZ
+    @given(st.one_of(lambda_elements.map(serialize_lambda),
+                     gamma_elements.map(serialize_gamma)),
+           st.data())
+    def test_one_edit_of_valid_text(self, text, data):
+        # valid text with one character inserted or replaced reaches deep
+        # into the grammar, where arbitrary text rarely gets
+        pos = data.draw(st.integers(0, len(text)))
+        ch = data.draw(st.sampled_from(FUZZ_ALPHABET))
+        cut = data.draw(st.integers(0, 1))
+        _parse_all(text[:pos] + ch + text[pos + cut:])
+
+    @FUZZ
+    @given(lambda_elements, gamma_elements)
+    def test_round_trip(self, e, g):
+        assert parse_lambda(serialize_lambda(e)) == e
+        assert parse_gamma(serialize_gamma(g), 5) == g
+        assert parse_document(serialize_lambda(e), kind="lambda").element == e
+        assert parse_document(serialize_gamma(g), kind="gamma", rank=5).element == g
+
+
 class TestParseDocument:
     def test_kind_sniffing(self):
         doc = parse_document(D0_TEXT)
@@ -177,10 +238,13 @@ class TestEmitReport:
 
     def test_json_schema_fields(self):
         data = json.loads(emit_report(make_verified_report(), "json"))
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert set(data) == {"schema", "input", "bidegree", "primitive",
-                             "psi_image", "is_cycle", "target", "witness",
-                             "ext_dim", "verdict"}
+                             "psi_image", "is_cycle", "target",
+                             "same_class_ok", "witness", "ext_dim", "verdict",
+                             "failed_checks"}
+        assert data["same_class_ok"] is True
+        assert data["failed_checks"] == []
         assert data["verdict"] == "verified"
         assert data["input"] == "u14"
         assert data["bidegree"] == [5, 14]
@@ -197,6 +261,8 @@ class TestEmitReport:
         data = json.loads(emit_report(report, "json"))
         assert data["verdict"] == "falsified"
         assert data["primitive"]["holds"] is False
+        assert data["failed_checks"] == list(report.failed_checks)
+        assert "primitive" in data["failed_checks"]
 
     def test_trivial_verdict_on_zero_input(self):
         report = verify_detection(

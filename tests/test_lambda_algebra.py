@@ -269,9 +269,15 @@ class TestAdmissibleBasis:
         assert admissible_basis(0, 5) == ()
 
     def test_against_brute_force(self):
-        for s in range(0, 5):
+        # s > d covers the lengths made by padding shorter words with zeros
+        for s in range(0, 9):
             for d in range(0, 13):
-                assert list(admissible_basis(s, d)) == admissible_words_brute(s, d)
+                assert list(admissible_basis(s, d)) == admissible_words_brute(s, d), (s, d)
+
+    def test_long_words_do_not_recurse_per_letter(self):
+        assert admissible_basis(5000, 0) == ((0,) * 5000,)
+        assert admissible_basis(5000, 2) == ((1, 1) + (0,) * 4998,
+                                             (2,) + (0,) * 4999)
 
     def test_count_matches_enumeration(self):
         for s in range(0, 7):

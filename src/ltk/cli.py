@@ -211,13 +211,11 @@ def _cmd_psi(cfg: CommandConfig) -> int:
 def _cmd_verify(cfg: CommandConfig) -> int:
     u_name, factors, expected = CLASSES[cfg.cls]
     if cfg.path is not None:
-        doc = elements_io.parse_document(_read_file(cfg.path), kind="gamma",
-                                         rank=catalog.entry(u_name).bidegree[0])
-        s = catalog.entry(u_name).bidegree[0]
-        degrees = {sum(m) for m in doc.element}
-        d = degrees.pop() if len(degrees) == 1 else catalog.entry(u_name).bidegree[1]
-        u = catalog.CatalogEntry(f"{u_name}(custom)", catalog.GAMMA, (s, d),
-                                 doc.element)
+        s, stored_d = catalog.entry(u_name).bidegree
+        e = elements_io.parse_gamma(_read_file(cfg.path), s)
+        degrees = {sum(m) for m in e}
+        d = degrees.pop() if len(degrees) == 1 else stored_d
+        u = catalog.CatalogEntry(f"{u_name}(custom)", catalog.GAMMA, (s, d), e)
     else:
         u = catalog.entry(u_name)
     target = la.UNIT

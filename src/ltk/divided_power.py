@@ -11,10 +11,14 @@ extended over products by the Cartan formula, i.e. by summing over all
 ways to distribute i among the factors.  A factor absorbs Sq^i only when
 2i <= j, so the whole action vanishes whenever 2i exceeds the degree.
 
-The kernel, _sq_monomial, folds the factors left to right.  The squares
-one factor a^(t) absorbs (the i <= t/2 with C(t-i, i) odd) come from a
-table per exponent value.  A partial distribution survives only while
-the factors after it can still absorb its remainder, at most the sum of
+The kernel, _sq_fold, is the only code that applies a square.  It folds
+the factors of one monomial left to right once for a whole tuple of
+squares, each state tagged with the square it belongs to, so the
+primitivity test, the stacked map of primitive_basis and the transfer's
+sum over squares make one pass per monomial.  The squares one factor
+a^(t) absorbs (the i <= t/2 with C(t-i, i) odd) come from a table per
+exponent value.  A partial distribution survives only while the
+factors after it can still absorb its remainder, at most the sum of
 their t // 2, so every surviving state ends at remainder 0.  Distinct
 distributions give distinct monomials, so nothing cancels within one
 monomial and the states need no mod-2 bookkeeping.
@@ -78,29 +82,35 @@ def _absorbs(t: int) -> tuple[int, ...]:
     return tuple(ik for ik in range(t // 2 + 1) if binom_mod2(t - ik, ik))
 
 
-def _sq_monomial(m: GammaMonomial, i: int) -> frozenset:
-    """Cartan expansion of one monomial under Sq^i."""
+def _sq_fold(m: GammaMonomial, squares: tuple[int, ...]) -> list[list[GammaMonomial]]:
+    """Cartan expansion of one monomial under each of the squares: entry
+    k lists the monomials of m Sq^squares[k], each once."""
     # room[k]: the most that the factors k, k+1, ... can absorb together
     room = [0] * (len(m) + 1)
     for k in range(len(m) - 1, -1, -1):
         room[k] = room[k + 1] + m[k] // 2
-    if i > room[0]:
-        return frozenset()
-    # states: (partial exponent tuple, remaining square degree), folded
-    # left to right, kept only while the factors after it can absorb the
-    # rest; distinct distributions give distinct monomials, so no parity
-    states: list[tuple[GammaMonomial, int]] = [((), i)]
+    # states: (partial exponent tuple, remaining square degree, index of
+    # the square), folded left to right, kept only while the factors
+    # after it can absorb the rest; distinct distributions give distinct
+    # monomials, so no parity
+    states = [((), i, tag) for tag, i in enumerate(squares) if i <= room[0]]
     for k, t in enumerate(m):
+        if not states:
+            break
         after = room[k + 1]
+        absorbs = _absorbs(t)
         nxt = []
-        for partial, rem in states:
-            for ik in _absorbs(t):
+        for partial, rem, tag in states:
+            for ik in absorbs:
                 if ik > rem:
                     break
                 if rem - ik <= after:
-                    nxt.append((partial + (t - ik,), rem - ik))
+                    nxt.append((partial + (t - ik,), rem - ik, tag))
         states = nxt
-    return frozenset(partial for partial, _ in states)
+    images: list[list[GammaMonomial]] = [[] for _ in squares]
+    for partial, _, tag in states:
+        images[tag].append(partial)
+    return images
 
 
 def sq_right(e: GammaElement, i: int) -> GammaElement:
@@ -109,10 +119,16 @@ def sq_right(e: GammaElement, i: int) -> GammaElement:
         raise ValueError("square degree must be non-negative")
     if i == 0:
         return e
-    acc: set[GammaMonomial] = set()
+    return _act(e, (i,))[0]
+
+
+def _act(e: GammaElement, squares: tuple[int, ...]) -> list[GammaElement]:
+    """The images of e under each of the squares, one fold per monomial."""
+    accs: list[set[GammaMonomial]] = [set() for _ in squares]
     for m in e:
-        acc ^= _sq_monomial(m, i)
-    return frozenset(acc)
+        for acc, image in zip(accs, _sq_fold(m, squares)):
+            acc.symmetric_difference_update(image)
+    return [frozenset(acc) for acc in accs]
 
 
 @dataclass(frozen=True)
@@ -126,7 +142,7 @@ class PrimitivityEvidence:
         return self.holds
 
 
-def _generator_squares(d: int) -> list[int]:
+def _generator_squares(d: int) -> tuple[int, ...]:
     # Sq^(2^k) generate the whole algebra of squares, and any square of
     # degree above d/2 acts as zero on degree d, so these suffice.
     squares = []
@@ -134,7 +150,7 @@ def _generator_squares(d: int) -> list[int]:
     while 2 * i <= d:
         squares.append(i)
         i *= 2
-    return squares
+    return tuple(squares)
 
 
 def is_primitive(e: GammaElement) -> PrimitivityEvidence:
@@ -144,7 +160,8 @@ def is_primitive(e: GammaElement) -> PrimitivityEvidence:
     d = degree_of(e)
     if d is None:
         return PrimitivityEvidence(True, ())
-    checked = tuple((i, sq_right(e, i)) for i in _generator_squares(d))
+    squares = _generator_squares(d)
+    checked = tuple(zip(squares, _act(e, squares)))
     return PrimitivityEvidence(all(not img for _, img in checked), checked)
 
 
@@ -172,20 +189,24 @@ def gamma_basis(s: int, d: int) -> tuple[GammaMonomial, ...]:
 def primitive_basis(s: int, d: int) -> list[GammaElement]:
     """A basis of the joint kernel of the generator squares at (s, d)."""
     basis = gamma_basis(s, d)
-    codomains = [(i, {w: j for j, w in enumerate(gamma_basis(s, d - i))})
-                 for i in _generator_squares(d)]
+    squares = _generator_squares(d)
+    # the images under all the squares sit side by side in one row: each
+    # codomain word's bit, offset by the widths of the codomains before it
+    bits, width = [], 0
+    for i in squares:
+        codomain = gamma_basis(s, d - i)
+        bits.append({w: width + j for j, w in enumerate(codomain)})
+        width += len(codomain)
     span = f2core.Span()
     for m in basis:
-        # the images of m under every generator square, side by side
-        row, offset = 0, 0
-        for i, index in codomains:
-            for w in _sq_monomial(m, i):
-                row |= 1 << (offset + index[w])
-            offset += len(index)
+        row = 0
+        for bit, image in zip(bits, _sq_fold(m, squares)):
+            for w in image:
+                row |= 1 << bit[w]
         span.add(row)
     out = []
     for v in span.kernel:
-        candidate = frozenset(m for j, m in enumerate(basis) if v >> j & 1)
+        candidate = frozenset(basis[j] for j in f2core.set_bits(v))
         evidence = is_primitive(candidate)
         if not evidence:
             raise AssertionError("kernel vector failed the primitivity re-check")

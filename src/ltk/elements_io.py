@@ -3,19 +3,30 @@
     element     := "0" | term ("+" term)*
     lambda term := "L[" int ("," int)* "]" | "L[]"
     gamma term  := "a(" int ("," int)* ")"
-    int         := [0-9]+
+    int         := [0-9]+      (at most MAX_DIGITS digits)
 
-Whitespace is insignificant between tokens.  Coefficients are never
-written: a term's presence means coefficient 1, and repeated terms
-cancel.  Serialization is canonical, so equal elements always produce
+Whitespace, exactly the characters space, tab, carriage return and line
+feed, is insignificant between tokens; any other character, such as a
+vertical tab, a form feed or a Unicode space, is an error, and so is a
+digit other than the ASCII 0-9.  Coefficients are never written: a
+term's presence means coefficient 1, and repeated terms cancel.
+Serialization is canonical, so equal elements always produce
 byte-identical text.
+
+The parser matches one compiled pattern per term, `L[...]` or `a(...)`,
+at the offset where the term starts, and reads the indices off the
+match.  Only when a term fails to match does _diagnose walk it again,
+piece by piece with the same piece patterns, to name what was expected
+and what was found; the line and column of a ParseError are computed
+from that offset then, and never on the way.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, NoReturn, Optional
 
 from . import divided_power as dp
 from . import lambda_algebra as la
@@ -25,6 +36,9 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 2
 FILE_EXTENSION = ".f2elt"
+# the most digits an index may have: int() refuses longer digit strings
+# by default, and the grammar refuses them on every interpreter
+MAX_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -36,111 +50,121 @@ class ParseError(ValueError):
         self.column = column
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+class _TermKind(NamedTuple):
+    """One term kind of the grammar and its compiled term pattern."""
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def skip_ws(self) -> None:
-        while self.peek() and self.peek() in " \t\r\n":
-            self.advance()
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            found = repr(self.peek()) if self.peek() else "end of input"
-            raise self.error(f"expected {ch!r}, found {found}")
-        self.advance()
-
-    def scan_int(self) -> int:
-        self.skip_ws()
-        if self.peek() == "-":
-            raise self.error("negative index rejected")
-        # ASCII digits only: str.isdigit also accepts '²' and '٣'
-        if not "0" <= self.peek() <= "9":
-            found = repr(self.peek()) if self.peek() else "end of input"
-            raise self.error(f"expected integer, found {found}")
-        digits = ""
-        while "0" <= self.peek() <= "9":
-            digits += self.advance()
-        return int(digits)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
+    head: str
+    open: str
+    close: str
+    allow_empty: bool
+    term: re.Pattern
 
 
-def _parse_terms(sc: _Scanner, head: str, open_ch: str, close_ch: str,
-                 allow_empty: bool) -> list[tuple[int, ...]]:
-    terms: list[tuple[int, ...]] = []
-    while True:
-        sc.skip_ws()
-        sc.expect(head)
-        sc.skip_ws()
-        sc.expect(open_ch)
-        sc.skip_ws()
-        indices: list[int] = []
-        if sc.peek() == close_ch and allow_empty:
-            sc.advance()
-        else:
-            indices.append(sc.scan_int())
-            sc.skip_ws()
-            while sc.peek() == ",":
-                sc.advance()
-                indices.append(sc.scan_int())
-                sc.skip_ws()
-            sc.expect(close_ch)
-        terms.append(tuple(indices))
-        sc.skip_ws()
-        if sc.at_end():
-            return terms
-        sc.expect("+")
+# the grammar's pieces; the term patterns and _diagnose are built from them
+_SPACE = r"[ \t\r\n]*"  # not \s: it also matches '\x0b', '\x0c' and Unicode spaces
+_INT = f"[0-9]{{1,{MAX_DIGITS}}}"  # not \d: it also matches '٣' and other Unicode digits
+_SPACE_RE = re.compile(_SPACE)
+_INT_RE = re.compile(_INT)
 
 
-def _parse(text: str, head: str, open_ch: str, close_ch: str,
-           allow_empty: bool) -> frozenset:
-    sc = _Scanner(text)
-    sc.skip_ws()
-    if sc.peek() == "0":
-        sc.advance()
-        sc.skip_ws()
-        if not sc.at_end():
-            raise sc.error("trailing input after zero element")
+def _term_kind(head: str, open_ch: str, close_ch: str,
+               allow_empty: bool) -> _TermKind:
+    # group 1: the indices, commas and spaces between the brackets
+    indices = f"({_INT}(?:{_SPACE},{_SPACE}{_INT})*){_SPACE}"
+    if allow_empty:
+        indices = f"(?:{indices})?"
+    term = re.compile(_SPACE + re.escape(head) + _SPACE + re.escape(open_ch)
+                      + _SPACE + indices + re.escape(close_ch) + _SPACE)
+    return _TermKind(head, open_ch, close_ch, allow_empty, term)
+
+
+_LAMBDA = _term_kind("L", "[", "]", allow_empty=True)
+_GAMMA = _term_kind("a", "(", ")", allow_empty=False)
+
+
+def _error(message: str, text: str, pos: int) -> ParseError:
+    """A ParseError at the 1-based line and column of offset pos."""
+    return ParseError(message, text.count("\n", 0, pos) + 1,
+                      pos - text.rfind("\n", 0, pos))
+
+
+def _found(text: str, pos: int) -> str:
+    return repr(text[pos]) if pos < len(text) else "end of input"
+
+
+def _diagnose(text: str, pos: int, kind: _TermKind) -> NoReturn:
+    """Raise the ParseError for the term (and the '+' after it) that
+    starts at pos, found by matching the grammar's pieces one by one."""
+
+    def skip(at: int) -> int:
+        return _SPACE_RE.match(text, at).end()
+
+    def expect(token: str, at: int) -> int:
+        if not text.startswith(token, at):
+            raise _error(f"expected {token!r}, found {_found(text, at)}", text, at)
+        return at + 1
+
+    def integer(at: int) -> int:
+        at = skip(at)
+        digits = _INT_RE.match(text, at)
+        if digits is None:
+            if text.startswith("-", at):
+                raise _error("negative index rejected", text, at)
+            raise _error(f"expected integer, found {_found(text, at)}", text, at)
+        if _INT_RE.match(text, digits.end()):
+            raise _error(f"integer has more than {MAX_DIGITS} digits", text, at)
+        return skip(digits.end())
+
+    pos = skip(expect(kind.head, skip(pos)))
+    pos = skip(expect(kind.open, pos))
+    if not (kind.allow_empty and text.startswith(kind.close, pos)):
+        pos = integer(pos)
+        while text.startswith(",", pos):
+            pos = integer(pos + 1)
+    pos = skip(expect(kind.close, pos))
+    if pos < len(text):
+        expect("+", pos)
+    raise AssertionError(f"the term pattern refused a well-formed term at {pos}")
+
+
+def _parse(text: str, kind: _TermKind) -> frozenset:
+    pos = _SPACE_RE.match(text).end()
+    if text.startswith("0", pos):
+        pos = _SPACE_RE.match(text, pos + 1).end()
+        if pos < len(text):
+            raise _error("trailing input after zero element", text, pos)
         return frozenset()
-    if sc.at_end():
-        raise sc.error("empty input")
+    if pos == len(text):
+        raise _error("empty input", text, pos)
+    term, end = kind.term.match, len(text)
     acc: set[tuple[int, ...]] = set()
-    for t in _parse_terms(sc, head, open_ch, close_ch, allow_empty):
-        acc ^= {t}
-    return frozenset(acc)
+    while True:
+        match = term(text, pos)
+        if match is None:
+            _diagnose(text, pos, kind)
+        indices = match.group(1)
+        t = tuple(map(int, indices.split(","))) if indices else ()
+        if t in acc:  # repeated terms cancel mod 2
+            acc.remove(t)
+        else:
+            acc.add(t)
+        if match.end() == end:
+            return frozenset(acc)
+        if text[match.end()] != "+":
+            _diagnose(text, pos, kind)
+        pos = match.end() + 1
 
 
 def parse_lambda(text: str) -> la.LambdaElement:
     """Parse a Lambda element; duplicate terms cancel mod 2."""
-    return _parse(text, "L", "[", "]", allow_empty=True)
+    return _parse(text, _LAMBDA)
 
 
 def parse_gamma(text: str, rank: int) -> dp.GammaElement:
     """Parse a divided-power element whose terms must have the given arity."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
-    e = _parse(text, "a", "(", ")", allow_empty=False)
+    e = _parse(text, _GAMMA)
     for m in e:
         if len(m) != rank:
             raise ParseError(
@@ -165,12 +189,18 @@ def serialize_gamma(e: dp.GammaElement) -> str:
 
 @dataclass(frozen=True)
 class ElementDocument:
-    """A parsed element file: its kind, rank (gamma only), canonical body."""
+    """A parsed element file: its kind, rank (gamma only) and element."""
 
     kind: str  # "lambda" | "gamma"
     rank: Optional[int]
-    body: str
     element: frozenset
+
+    @property
+    def body(self) -> str:
+        """The canonical text of the element."""
+        if self.kind == "lambda":
+            return serialize_lambda(self.element)
+        return serialize_gamma(self.element)
 
 
 def parse_document(text: str, kind: Optional[str] = None,
@@ -179,8 +209,8 @@ def parse_document(text: str, kind: Optional[str] = None,
 
     A bare "0" is only accepted when the kind is supplied by the caller.
     """
-    stripped = text.strip()
     if kind is None:
+        stripped = text.lstrip()
         if stripped.startswith("L"):
             kind = "lambda"
         elif stripped.startswith("a"):
@@ -188,20 +218,18 @@ def parse_document(text: str, kind: Optional[str] = None,
         else:
             raise ParseError("cannot infer element kind", 1, 1)
     if kind == "lambda":
-        e = parse_lambda(text)
-        return ElementDocument("lambda", None, serialize_lambda(e), e)
+        return ElementDocument("lambda", None, parse_lambda(text))
     if kind == "gamma":
-        if rank is None:
-            probe = _parse(text, "a", "(", ")", allow_empty=False)
-            ranks = {len(m) for m in probe}
-            if not ranks:
-                raise ParseError("cannot infer the rank of a zero element; "
-                                 "pass the rank explicitly", 1, 1)
-            if len(ranks) > 1:
-                raise ParseError("terms of mixed arity", 1, 1)
-            rank = ranks.pop()
-        e = parse_gamma(text, rank)
-        return ElementDocument("gamma", rank, serialize_gamma(e), e)
+        if rank is not None:
+            return ElementDocument("gamma", rank, parse_gamma(text, rank))
+        e = _parse(text, _GAMMA)
+        ranks = {len(m) for m in e}
+        if not ranks:
+            raise ParseError("cannot infer the rank of a zero element; "
+                             "pass the rank explicitly", 1, 1)
+        if len(ranks) > 1:
+            raise ParseError("terms of mixed arity", 1, 1)
+        return ElementDocument("gamma", ranks.pop(), e)
     raise ValueError(f"unknown kind {kind!r}")
 
 

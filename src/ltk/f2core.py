@@ -9,7 +9,7 @@ provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 
 def binom_mod2(n: int, k: int) -> int:
@@ -22,6 +22,15 @@ def binom_mod2(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return 1 if (n & k) == k else 0
+
+
+def set_bits(v: int) -> Iterator[int]:
+    """The positions of the set bits of v >= 0, lowest first; the cost
+    grows with the number of set bits, not with the width of v."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
 
 
 @dataclass(frozen=True)

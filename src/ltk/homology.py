@@ -4,16 +4,19 @@ Each bidegree slice carries the admissible basis and the echelon span of
 the boundaries in it, whose provenance records which words of the
 previous slice produce each boundary.  Class-level questions (is this a
 boundary, are these two cycles homologous) reduce to a reduction against
-such a span.  Ext dimensions need ranks only: the rank of the
-differential out of each bidegree is kept in a memo of plain ints, filled
-by slice_at or computed once, so each differential image is built at
-most once per process.  Witnesses are always re-verified by applying the
-differential before they are returned.
+such a span.  boundary_witness places each word of its element in the
+sorted basis with bisect, so one question about a few words builds no
+index over a basis of thousands.  Ext dimensions need ranks only: the
+rank of the differential out of each bidegree is kept in a memo of plain
+ints, filled by slice_at or computed once, so each differential image is
+built at most once per process.  Witnesses are always re-verified by
+applying the differential before they are returned.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -127,10 +130,15 @@ def boundary_witness(r: LambdaElement) -> Optional[LambdaElement]:
     if s == 0:
         return None
     sl = slice_at(s, d)
-    residual, x = sl.boundaries.reduce(next(bit_rows([r], sl.basis)))
+    # the basis is sorted, so bisect places each word of r; an index over
+    # the whole basis would cost more than the row
+    row = 0
+    for w in r:
+        row |= 1 << bisect_left(sl.basis, w)
+    residual, x = sl.boundaries.reduce(row)
     if residual:
         return None
-    witness = frozenset(w for i, w in enumerate(sl.prev_basis) if x >> i & 1)
+    witness = frozenset(sl.prev_basis[i] for i in f2core.set_bits(x))
     if la.differential(witness) != r:
         raise AssertionError("witness failed re-verification")
     return witness

@@ -45,15 +45,15 @@ def _psi_monomial(m: GammaMonomial) -> LambdaElement:
         return frozenset({(m[0],)})
     t, tail = m[0], m[1:]
     acc: set = set()
-    # instability bounds the sum: squares above half the tail degree act as zero
-    for j in range(t, t + sum(tail) // 2 + 1):
-        moved = dp._sq_monomial(tail, j - t)
+    # instability bounds the sum: squares above half the tail degree act
+    # as zero; one fold of the tail gives its image under all the others
+    for i, moved in enumerate(dp._sq_fold(tail, tuple(range(sum(tail) // 2 + 1)))):
         if not moved:
             continue
         part: set = set()
         for pm in moved:
             part ^= _psi_monomial(pm)
-        acc ^= la.product(frozenset(part), frozenset({(j,)}))
+        acc ^= la.product(frozenset(part), frozenset({(t + i,)}))
     return frozenset(acc)
 
 
@@ -142,7 +142,9 @@ def verify_detection(u: CatalogEntry, target: LambdaElement,
     target_is_cycle = la.is_homogeneous(target) and homology.is_cycle(target)
     target_nonzero: Optional[bool] = None
     if target_is_cycle:
-        target_nonzero = homology.class_nonzero(target)
+        # the target is a normalized cycle already: class_nonzero would
+        # check both again
+        target_nonzero = homology.boundary_witness(target) is None
         if not target_nonzero:
             fails.append("target-nonzero")
     else:
@@ -155,7 +157,10 @@ def verify_detection(u: CatalogEntry, target: LambdaElement,
         and (not image or not target or la.bidegree(image) == la.bidegree(target))
     )
     if comparable:
-        same, witness = homology.same_class(image, target)
+        # what same_class(image, target) returns, without checking again
+        # that both are normalized cycles of one bidegree
+        witness = homology.boundary_witness(image ^ target)
+        same = witness is not None
         if not same:
             fails.append("class-equality")
         elif la.differential(witness) != image ^ target:
@@ -234,9 +239,8 @@ def find_preimage(s: int, target: LambdaElement,
     if residual:
         return None
     preimage: set = set()
-    for i, p in enumerate(prims):
-        if x >> i & 1:
-            preimage ^= p
+    for i in f2core.set_bits(x):
+        preimage ^= prims[i]
     result = frozenset(preimage)
     equal, _ = homology.same_class(psi(result), target)
     if not equal:

@@ -1,0 +1,131 @@
+"""Compare the ltk command line of two source trees, command by command.
+
+    python tests/cli_diff.py OLD_SRC NEW_SRC
+
+Each source tree is a directory that holds the `ltk` package (a
+checkout's `src`).  Every command in COMMANDS runs once against each
+tree, in a fresh interpreter with that tree on PYTHONPATH, in a
+temporary directory that holds the input files below.  The script
+prints each command whose stdout, stderr or exit code differs, with a
+diff, and exits 1 if any differs, 0 if none does.  Output is canonical,
+so any difference is a change of behaviour.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import difflib
+import os
+import subprocess
+import sys
+import tempfile
+
+RUN = "import sys; from ltk.cli import run; sys.exit(run(sys.argv[1:]))"
+TIMEOUT_S = 600
+
+# input files written into the working directory; catalog entries are
+# read from the first tree's catalog_data
+CATALOG_INPUTS = ("u14", "u20", "u24", "h0")
+MALFORMED = {
+    "unclosed.f2elt": "L[1,2",
+    "negative.f2elt": "L[3,-1]",
+    "junk.f2elt": "L[1] L[2]",
+    "mixed.f2elt": "a(1,2) + a(1,2,3)",
+    "superscript.f2elt": "L[²]",
+    "newline.f2elt": "L[3,5] +\nL[2 6]",
+    "empty.f2elt": "  \n",
+    "zero_junk.f2elt": "0 + L[1]",
+    "empty_gamma.f2elt": "a()",
+    "vtab.f2elt": "L[1]\x0b+ L[2]",
+    "nbsp.f2elt": "\u00a0L[1] +\u2003L[2]",
+    "long_int.f2elt": "L[1] +\n  L[" + "7" * 5000 + "]",
+}
+
+
+def _mutant(text: str) -> str:
+    """The catalog text with its first term deleted."""
+    return " + ".join(text.split("+")[1:]).strip()
+
+
+COMMANDS: list[list[str]] = [
+    *[["verify", "--class", cls, *fmt]
+      for cls in ("h0d0", "h2e0", "h1h4c0")
+      for fmt in ([], ["--format", "json"])],
+    ["verify", "--class", "h0d0", "--in", "u14_mutant.f2elt"],
+    ["verify", "--class", "h0d0", "--in", "u14_mutant.f2elt", "--format", "json"],
+    ["verify", "--class", "h2e0", "--in", "u20.f2elt", "--format", "json"],
+    ["verify", "--class", "h0d0", "--in", "mixed.f2elt"],
+    ["primitive-basis", "--rank", "5", "--deg", "9"],
+    ["primitive-basis", "--rank", "4", "--deg", "7", "--format", "json"],
+    ["transfer-image", "--s", "5", "--deg", "14"],
+    ["transfer-image", "--s", "5", "--deg", "9", "--format", "json"],
+    *[cmd + ["--in", f"{u}.f2elt"]
+      for u in ("u14", "u20", "u24")
+      for cmd in (["primitive-check"], ["primitive-check", "--format", "json"],
+                  ["steenrod", "--deg", "4"], ["steenrod", "--deg", "1"],
+                  ["psi"], ["psi", "--rank", "5"])],
+    ["primitive-check", "--in", "u14_mutant.f2elt"],
+    ["find-preimage", "--s", "5", "--in", "h0.f2elt"],
+    ["find-preimage", "--s", "1", "--in", "h0.f2elt", "--format", "json"],
+    ["normalize", "--in", "h0.f2elt"],
+    ["homology", "--s", "5", "--deg", "14", "--format", "json"],
+    ["basis", "--s", "3", "--deg", "7"],
+    *[["normalize", "--in", name] for name in MALFORMED],
+    *[["psi", "--in", name] for name in MALFORMED],
+    ["psi", "--rank", "3", "--in", "mixed.f2elt"],
+]
+
+
+def write_inputs(tree: str, workdir: str) -> None:
+    for name in CATALOG_INPUTS:
+        path = os.path.join(tree, "ltk", "catalog_data", f"{name}.f2elt")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(os.path.join(workdir, f"{name}.f2elt"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if name == "u14":
+            with open(os.path.join(workdir, "u14_mutant.f2elt"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(_mutant(text))
+    for name, text in MALFORMED.items():
+        with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def run(tree: str, argv: list[str], workdir: str) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(tree))
+    done = subprocess.run([sys.executable, "-c", RUN, *argv], cwd=workdir, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True,
+                          text=True, encoding="utf-8", timeout=TIMEOUT_S)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _diff(label: str, old: str, new: str) -> list[str]:
+    return list(difflib.unified_diff(old.splitlines(), new.splitlines(),
+                                     f"old {label}", f"new {label}", lineterm=""))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    old_tree, new_tree = argv
+    differ = 0
+    with tempfile.TemporaryDirectory() as workdir:
+        write_inputs(old_tree, workdir)
+        for cmd in COMMANDS:
+            old, new = run(old_tree, cmd, workdir), run(new_tree, cmd, workdir)
+            if old == new:
+                continue
+            differ += 1
+            print(f"DIFFERS: ltk {' '.join(cmd)}")
+            if old[0] != new[0]:
+                print(f"  exit code {old[0]} -> {new[0]}")
+            for label, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
+                for line in _diff(label, a, b):
+                    print("  " + line)
+    print(f"{len(COMMANDS)} commands, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

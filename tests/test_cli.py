@@ -250,6 +250,13 @@ class TestUsageErrors:
         code, _, err = capture("diff", "--in", path)
         assert code == USAGE
 
+    def test_overlong_integer_is_a_positioned_parse_error(self, capture, tmp_path):
+        path = write(tmp_path, "long.f2elt", "L[1] +\n  L[" + "7" * 5000 + "]")
+        code, out, err = capture("normalize", "--in", path)
+        assert code == USAGE
+        assert out == ""
+        assert err == "error: integer has more than 4300 digits (line 2, column 5)\n"
+
     def test_bad_class(self, capture):
         code, _, _ = capture("verify", "--class", "h9z9")
         assert code == USAGE

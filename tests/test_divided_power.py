@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from math import comb
 
@@ -9,7 +10,7 @@ from ltk import catalog, f2core
 from ltk.divided_power import (
     ZERO,
     _generator_squares,
-    _sq_monomial,
+    _sq_fold,
     degree_of,
     element,
     gamma_basis,
@@ -126,7 +127,33 @@ class TestSqRight:
                 for m in compositions(rank, d):
                     room = sum(t // 2 for t in m)
                     for i in range(room + 1, d + 2):
-                        assert _sq_monomial(m, i) == ZERO, (m, i)
+                        assert _sq_fold(m, (i,)) == [[]], (m, i)
+
+    def test_fold_of_every_square_tuple_against_oracle(self):
+        # one fold for several squares at once gives, square by square,
+        # what the duality oracle gives for each square alone, whatever
+        # squares the tuple holds and in whatever order
+        tables: dict = {}
+
+        def oracle(rank, d, i):
+            if (rank, d, i) not in tables:
+                tables[rank, d, i] = sq_right_dual_table(rank, d, i)
+            return tables[rank, d, i]
+
+        for rank in range(1, 5):
+            for d in range(13):
+                gens = _generator_squares(d)
+                tuples = [combo for n in range(1, len(gens) + 1)
+                          for combo in itertools.permutations(gens, n)]
+                # psi folds every square up to the room at once, from Sq^0
+                tuples.append(tuple(range(d // 2 + 2)))
+                for squares in tuples:
+                    for m in compositions(rank, d):
+                        images = _sq_fold(m, squares)
+                        assert len(images) == len(squares)
+                        for i, image in zip(squares, images):
+                            assert len(image) == len(set(image)), (m, i)
+                            assert frozenset(image) == oracle(rank, d, i)[m], (m, squares, i)
 
     def test_cartan_over_products(self):
         rng = random.Random(19)

@@ -57,6 +57,70 @@ class TestParseLambda:
         assert str(err.value) == (f"expected integer, found {digit!r} "
                                   f"(line 1, column 3)")
 
+    @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\u00a0", "\u2003"])
+    def test_only_ascii_space_tab_cr_lf_between_tokens(self, space):
+        # \s would accept all four; the grammar's whitespace is [ \t\r\n]
+        for text, column in ((f"L[1]{space}+ L[2]", 5), (f"L[1,{space}2]", 5),
+                             (f"{space}L[1]", 1), (f"L{space}[1]", 2),
+                             (f"L[1] +{space}L[2]", 7), (f"0{space}", 2)):
+            with pytest.raises(ParseError) as err:
+                parse_lambda(text)
+            assert (err.value.line, err.value.column) == (1, column), text
+        with pytest.raises(ParseError):
+            parse_gamma(f"a(1,{space}2)", 2)
+        assert parse_lambda("\tL [ 1 ,\r\n2 ]\n+ L[]\r\n") == la.element((1, 2), ())
+
+    def test_overlong_integer_rejected_with_position(self):
+        # int() refuses more than 4300 digits with a bare ValueError
+        with pytest.raises(ParseError) as err:
+            parse_lambda("L[" + "1" * 5000 + "]")
+        assert str(err.value) == "integer has more than 4300 digits (line 1, column 3)"
+        with pytest.raises(ParseError) as err:
+            parse_gamma("a(1,2) +\n  a(3, " + "7" * 4301 + ")", 2)
+        assert (err.value.line, err.value.column) == (2, 8)
+        assert parse_lambda("L[" + "9" * 4300 + "]") == la.element((10 ** 4300 - 1,))
+
+    # messages and positions of the character-at-a-time scanner this
+    # parser replaced, recorded from it
+    @pytest.mark.parametrize("kind, text, message", [
+        ("lambda", "L[1,2", "expected ']', found end of input (line 1, column 6)"),
+        ("lambda", "L[3,-1]", "negative index rejected (line 1, column 5)"),
+        ("lambda", "L[1] L[2]", "expected '+', found 'L' (line 1, column 6)"),
+        ("lambda", "0 + L[1]", "trailing input after zero element (line 1, column 3)"),
+        ("lambda", "", "empty input (line 1, column 1)"),
+        ("lambda", " \n\t", "empty input (line 2, column 2)"),
+        ("lambda", "L[3,5] +\nL[2 6]", "expected ']', found '6' (line 2, column 5)"),
+        ("lambda", "L[1] +", "expected 'L', found end of input (line 1, column 7)"),
+        ("lambda", "L[1] +\n\n   x", "expected 'L', found 'x' (line 3, column 4)"),
+        ("lambda", "L(1)", "expected '[', found '(' (line 1, column 2)"),
+        ("lambda", "L[,1]", "expected integer, found ',' (line 1, column 3)"),
+        ("lambda", "L[1,]", "expected integer, found ']' (line 1, column 5)"),
+        ("lambda", "L[1]]", "expected '+', found ']' (line 1, column 5)"),
+        ("lambda", "\tL [1 ,\r\n 2 ] + M[3]", "expected 'L', found 'M' (line 2, column 8)"),
+        ("lambda", "a(1,2)", "expected 'L', found 'a' (line 1, column 1)"),
+        ("lambda", "L[1]\n+ L[2,\n-3]", "negative index rejected (line 3, column 1)"),
+        ("gamma", "a()", "expected integer, found ')' (line 1, column 3)"),
+        ("gamma", "a(1,2,3,4)", "term has arity 4, expected 5 (line 1, column 1)"),
+        ("gamma", "a(1,2,3,4,5) + a(1,2,3,4)", "term has arity 4, expected 5 (line 1, column 1)"),
+        ("gamma", "a(1,2,3,4,5", "expected ')', found end of input (line 1, column 12)"),
+        ("gamma", "L[1]", "expected 'a', found 'L' (line 1, column 1)"),
+        ("gamma", "0 0", "trailing input after zero element (line 1, column 3)"),
+        ("gamma", "a(1,2,3,4,5) +\r\na(1 2,3,4,5)", "expected ')', found '2' (line 2, column 5)"),
+        ("doc", "0", "cannot infer element kind (line 1, column 1)"),
+        ("doc", "x", "cannot infer element kind (line 1, column 1)"),
+        ("doc", "a(1,2) + a(1,2,3)", "terms of mixed arity (line 1, column 1)"),
+        ("doc", "a(1,2) + a(1,2)", "cannot infer the rank of a zero element; "
+                                   "pass the rank explicitly (line 1, column 1)"),
+        ("doc", "L[1] + a(1)", "expected 'L', found 'a' (line 1, column 8)"),
+        ("doc", "a(1) + L[1]", "expected 'a', found 'L' (line 1, column 8)"),
+    ])
+    def test_messages_and_positions(self, kind, text, message):
+        parse = {"lambda": parse_lambda, "gamma": lambda t: parse_gamma(t, 5),
+                 "doc": parse_document}[kind]
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             parse_lambda("L[3,5] +\nL[2 6]")

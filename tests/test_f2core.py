@@ -10,6 +10,7 @@ from ltk.f2core import (
     Span,
     binom_mod2,
     rank,
+    set_bits,
     solve,
 )
 
@@ -85,6 +86,14 @@ class TestBitVector:
         assert (a ^ b).support() == (0, 2)
         assert (a ^ a).bits == 0
         assert (a ^ BitVector(4)) == a
+
+    def test_set_bits_against_every_bit(self):
+        rng = random.Random(3)
+        cases = [0, 1, 1 << 10_000, (1 << 10_000) | 5]
+        cases += [rng.getrandbits(rng.randrange(1, 300)) for _ in range(200)]
+        for v in cases:
+            expected = [j for j in range(v.bit_length()) if v >> j & 1]
+            assert list(set_bits(v)) == expected, v
 
     def test_bounds(self):
         with pytest.raises(IndexError):

@@ -18,7 +18,7 @@ from ltk.transfer import (
     verify_detection,
 )
 
-from .oracles import kernel_elements, psi_rank2_oracle
+from .oracles import kernel_elements, psi_rank2_oracle, sq_right_dual_table
 
 
 def gamma_entry(name: str, element: frozenset, s: int, d: int) -> CatalogEntry:
@@ -173,6 +173,31 @@ class TestVerifyDetection:
         report = verify_detection(u, la.element((1, 0)))
         assert report.verdict == "falsified"
         assert "target-nonzero" in report.failed_checks
+
+    @pytest.mark.parametrize("name, factors", [
+        ("u14", ("d0", "h0")), ("u20", ("e0_paper", "h2")), ("u24", ("c0", "h4", "h1")),
+    ])
+    def test_every_single_deletion_mutant_falsified(self, name, factors):
+        u = catalog.entry(name)
+        s, d = u.bidegree
+        target = la.UNIT
+        for f in factors:
+            target = la.product(target, catalog.entry(f).element)
+        assert verify_detection(u, target, expected_dim=1).verdict == "verified"
+        # the duality oracle's images of every monomial under Sq^1, Sq^2, Sq^4, ...
+        tables = [sq_right_dual_table(s, d, 1 << k) for k in range(d.bit_length() - 1)]
+        for m in sorted(u.element):
+            mutant = u.element - {m}
+            report = verify_detection(gamma_entry(f"{name}-{m}", mutant, s, d), target,
+                                      expected_dim=1)
+            assert report.verdict == "falsified", m
+            primitive = True
+            for table in tables:
+                image: set = set()
+                for term in mutant:
+                    image ^= table[term]
+                primitive = primitive and not image
+            assert ("primitive" in report.failed_checks) == (not primitive), m
 
     def test_lambda_entry_rejected(self):
         with pytest.raises(ValueError):

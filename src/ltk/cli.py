@@ -246,7 +246,8 @@ def _cmd_find_preimage(cfg: CommandConfig) -> int:
     target = la.normalize(_load_lambda(cfg))
     # find_preimage validates that the target is a cycle
     preimage = transfer.find_preimage(cfg.s, target, max_basis=cfg.max_basis)
-    trivial = not homology.class_nonzero(target)
+    # find_preimage answers a trivial class, and only that, with zero
+    trivial = preimage is not None and not preimage
     if cfg.fmt == "json":
         _emit_json(found=preimage is not None,
                    preimage=None if preimage is None

@@ -10,8 +10,20 @@ b <= 2a.  The defining relations rewrite each violating pair
     lam_k lam_m  =  sum_j C(s-j-1, j) lam_{k+s-j} lam_{2k+1+j},
     m = 2k+s+1, s >= 0,
 
-strictly increasing the left index, so repeated expansion terminates in
-the admissible normal form.
+strictly increasing the left index.  A rewrite keeps a word's length and
+degree and leaves the letters left of the pair alone, so it raises the
+word in lexicographic order; there are finitely many words of one length
+and degree, so every chain of rewrites ends, whichever violating pair is
+chosen, in the admissible normal form.
+
+normalize rewrites each word depth first and never collects the words in
+between: by linearity mod 2 their sum rewrites to the same normal form
+term by term.  Rewriting the leftmost violating pair i of a word changes
+only the letters at i and i + 1, and raises the one at i.  So in each new
+word every pair left of i - 1 is still admissible, pair i is admissible,
+and the next leftmost violation is at i - 1, at i + 1 or at the first
+violation right of i + 1 in the old word, which all the new words share.
+normalize compares two pairs per new word and scans that shared tail once.
 """
 
 from __future__ import annotations
@@ -88,6 +100,13 @@ def adem_expand_pair(k: int, m: int) -> LambdaElement:
     return frozenset(_pair_expansion(k, m))
 
 
+def _first_bad(w: LambdaMonomial) -> Optional[int]:
+    for i in range(len(w) - 1):
+        if w[i + 1] > 2 * w[i]:
+            return i
+    return None
+
+
 def _last_bad(w: LambdaMonomial) -> Optional[int]:
     for i in range(len(w) - 2, -1, -1):
         if w[i + 1] > 2 * w[i]:
@@ -98,38 +117,60 @@ def _last_bad(w: LambdaMonomial) -> Optional[int]:
 def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
     """Admissible normal form of e under the defining relations.
 
-    The strategy picks which violating pair of each word is expanded per
-    sweep; both orders reach the same normal form (this is exercised by
-    the test suite) but "leftmost" is the canonical evaluation order.
+    Words are rewritten depth first from a stack of (word, i, f)
+    entries, where pair i is the word's violation to rewrite.  Each
+    word that a rewrite makes is classified as it is made: an admissible
+    one toggles into the result, any other is pushed with its own
+    violation.  The strategy picks that violation: "leftmost", the
+    canonical order, or "rightmost".  Both reach the same normal form
+    (this is exercised by the test suite).  For "leftmost", every pair
+    from i + 2 up to f - 1 is known to be admissible, so the scan for
+    the next violation right of i + 1 resumes at f (see the module
+    docstring).
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rightmost = strategy == "rightmost"
-    current: set[LambdaMonomial] = set(e)
     done: set[LambdaMonomial] = set()
-    while current:
-        nxt: set[LambdaMonomial] = set()
-        for w in current:
-            if rightmost:
-                i = _last_bad(w)
-            else:
-                # the leftmost violation, scanned inline: this loop is hot
-                i = None
-                for j in range(len(w) - 1):
-                    if w[j + 1] > 2 * w[j]:
-                        i = j
-                        break
-            if i is None:
-                done ^= {w}
-                continue
-            head, tail = w[:i], w[i + 2:]
-            for pair in _pair_expansion(w[i], w[i + 1]):
+    stack: list[tuple[LambdaMonomial, int, int]] = []
+    push = stack.append
+    for w in e:
+        i = _last_bad(w) if rightmost else _first_bad(w)
+        if i is None:
+            done ^= {w}
+        else:
+            push((w, i, i + 2))
+    while stack:
+        w, i, f = stack.pop()
+        head, tail = w[:i], w[i + 2:]
+        pairs = _pair_expansion(w[i], w[i + 1])
+        if rightmost:
+            for pair in pairs:
                 word = head + pair + tail
-                if word in nxt:
-                    nxt.discard(word)
+                j = _last_bad(word)
+                if j is None:
+                    done ^= {word}
                 else:
-                    nxt.add(word)
-        current = nxt
+                    push((word, j, 0))
+            continue
+        last = len(w) - 1
+        while f < last and w[f + 1] <= 2 * w[f]:
+            f += 1
+        # f is the first violation right of pair i + 1, or last if none
+        lo = 2 * w[i - 1] if i else -1  # a new word violates at i - 1 if a > lo
+        hi = w[i + 2] if tail else -1   # and at i + 1 if hi > 2b
+        for a, b in pairs:
+            word = head + (a, b) + tail
+            if i and a > lo:
+                push((word, i - 1, i + 1 if hi > 2 * b else f))
+            elif hi > 2 * b:
+                push((word, i + 1, f if f > i + 3 else i + 3))
+            elif f < last:
+                push((word, f, f + 2))
+            elif word in done:
+                done.discard(word)
+            else:
+                done.add(word)
     return frozenset(done)
 
 

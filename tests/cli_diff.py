@@ -39,6 +39,10 @@ MALFORMED = {
     "nbsp.f2elt": "\u00a0L[1] +\u2003L[2]",
     "long_int.f2elt": "L[1] +\n  L[" + "7" * 5000 + "]",
 }
+# inadmissible length-6 words whose rewriting runs up to ten rewrites
+# deep; their normal form has about 2,000 words
+CHAINS = ("L[0,0,0,0,0,30] + L[0,0,0,0,0,20] + L[3,1,0,2,0,28] +\n"
+          "L[1,1,1,1,1,33] + L[1,0,6,0,3,6] + L[2,0,3,6,1,12]\n")
 
 
 def _mutant(text: str) -> str:
@@ -67,6 +71,8 @@ COMMANDS: list[list[str]] = [
     ["find-preimage", "--s", "5", "--in", "h0.f2elt"],
     ["find-preimage", "--s", "1", "--in", "h0.f2elt", "--format", "json"],
     ["normalize", "--in", "h0.f2elt"],
+    ["normalize", "--in", "chains.f2elt"],
+    ["normalize", "--in", "chains.f2elt", "--format", "json"],
     ["homology", "--s", "5", "--deg", "14", "--format", "json"],
     ["basis", "--s", "3", "--deg", "7"],
     *[["normalize", "--in", name] for name in MALFORMED],
@@ -86,7 +92,7 @@ def write_inputs(tree: str, workdir: str) -> None:
             with open(os.path.join(workdir, "u14_mutant.f2elt"), "w",
                       encoding="utf-8") as fh:
                 fh.write(_mutant(text))
-    for name, text in MALFORMED.items():
+    for name, text in (*MALFORMED.items(), ("chains.f2elt", CHAINS)):
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
 

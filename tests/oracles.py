@@ -43,6 +43,39 @@ def adem_rhs(k: int, m: int) -> set[tuple[int, int]]:
     return out
 
 
+@functools.cache
+def _prepend(a: int, tail: tuple[int, ...]) -> frozenset:
+    """Normal form of the letter a followed by the admissible word tail.
+
+    If (a, tail[0]) violates, it is rewritten by adem_rhs; each new pair
+    (x, y) is put in front of the rest of the tail by prepending y, then
+    x, to admissible words.  x > a, so the recursion ends.
+    """
+    if not tail or tail[0] <= 2 * a:
+        return frozenset({(a,) + tail})
+    out: set = set()
+    for x, y in adem_rhs(a, tail[0]):
+        for rest in _prepend(y, tail[1:]):
+            out ^= _prepend(x, rest)
+    return frozenset(out)
+
+
+def normal_form(words) -> frozenset:
+    """Admissible normal form of a sum of words, built from the right:
+    each word's letters are prepended, last to first, to the normal form
+    of the letters after them."""
+    out: set = set()
+    for w in words:
+        nf = {()}
+        for a in reversed(tuple(w)):
+            acc: set = set()
+            for tail in nf:
+                acc ^= _prepend(a, tail)
+            nf = acc
+        out ^= nf
+    return frozenset(out)
+
+
 def generator_diff(n: int) -> set[tuple[int, int]]:
     """Differential of a single generator by direct summation."""
     out = set()

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ltk import catalog, elements_io
+from ltk import catalog, elements_io, homology
 from ltk.cli import FALSIFIED, OK, USAGE, _parser, run
 from ltk.lambda_algebra import product
 
@@ -212,6 +212,27 @@ class TestTransferCommands:
         assert code == USAGE
         assert out == ""
         assert err == f"error: target words have length 5, but s = {s}\n"
+
+    def test_find_preimage_asks_boundary_witness_twice(self, capture, tmp_path,
+                                                       monkeypatch):
+        # once whether the target class is trivial, once to re-check the
+        # preimage; the command reuses the first answer
+        calls = []
+        witness = homology.boundary_witness
+
+        def counted(r):
+            calls.append(r)
+            return witness(r)
+
+        monkeypatch.setattr(homology, "boundary_witness", counted)
+        target = elements_io.serialize_lambda(
+            product(catalog.entry("d0").element, catalog.entry("h0").element))
+        path = write(tmp_path, "h0d0.f2elt", target)
+        code, out, err = capture("find-preimage", "--s", "5", "--in", path)
+        assert code == OK
+        assert out.strip() not in ("", "0")
+        assert "trivial" not in err
+        assert len(calls) == 2
 
     def test_resource_guard_exit_code(self, capture):
         code, _, err = capture("transfer-image", "--s", "5", "--deg", "100")

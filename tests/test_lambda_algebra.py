@@ -24,11 +24,18 @@ from ltk.lambda_algebra import (
     sq0,
 )
 
-from .oracles import adem_rhs, admissible_words_brute, generator_diff
+from .oracles import adem_rhs, admissible_words_brute, generator_diff, normal_form
 
 
 def random_word(rng: random.Random, max_len: int = 5, max_idx: int = 30) -> tuple[int, ...]:
     return tuple(rng.randrange(0, max_idx + 1) for _ in range(rng.randrange(0, max_len + 1)))
+
+
+def random_admissible(rng: random.Random, max_len: int = 4, max_idx: int = 20) -> tuple[int, ...]:
+    w = [rng.randrange(0, max_idx + 1)]
+    for _ in range(rng.randrange(0, max_len)):
+        w.append(rng.randrange(0, min(2 * w[-1], max_idx) + 1))
+    return tuple(w)
 
 
 def random_homogeneous(rng: random.Random, s: int, d: int, terms: int = 3):
@@ -143,6 +150,68 @@ class TestNormalize:
             x = element(*(random_word(rng) for _ in range(2)))
             y = element(*(random_word(rng) for _ in range(2)))
             assert normalize(x ^ y) == normalize(x) ^ normalize(y)
+
+
+class TestAgainstNormalFormOracle:
+    """normalize against tests.oracles.normal_form, which builds normal
+    forms from the right and shares no code with the package."""
+
+    def test_random_words_both_strategies(self):
+        rng = random.Random(101)
+        for _ in range(300):
+            w = random_word(rng, max_len=6, max_idx=40)
+            want = normal_form([w])
+            assert normalize(element(w), "leftmost") == want, w
+            assert normalize(element(w), "rightmost") == want, w
+
+    def test_random_sums_both_strategies(self):
+        rng = random.Random(103)
+        for _ in range(120):
+            words = [random_word(rng, max_len=6, max_idx=40)
+                     for _ in range(rng.randrange(1, 5))]
+            e = element(*words)
+            want = normal_form(e)
+            assert normalize(e, "leftmost") == want, words
+            assert normalize(e, "rightmost") == want, words
+
+    def test_product_and_differential_of_admissible_pairs(self):
+        rng = random.Random(107)
+        for _ in range(100):
+            x, y = random_admissible(rng), random_admissible(rng)
+            assert product(element(x), element(y)) == normal_form([x + y]), (x, y)
+            raw = [x[:i] + pair + x[i + 1:]
+                   for i, n in enumerate(x) for pair in generator_diff(n)]
+            assert differential(element(x)) == normal_form(raw), x
+
+
+class TestResumeIndex:
+    """Rewriting the pair at j can make the pair at j - 1 or at j + 1
+    violate; the next rewrite must find either one."""
+
+    def test_violation_created_one_pair_left(self):
+        # (0, 6) at j = 1 becomes (3, 3), (4, 2) or (5, 1); 3, 4 and 5 all exceed 2 * 1
+        assert is_admissible((1, 0))
+        assert all(a > 2 * 1 for a, _ in adem_expand_pair(0, 6))
+        want = element((2, 3, 2), (3, 3, 1))
+        assert normal_form([(1, 0, 6)]) == want
+        assert normalize(element((1, 0, 6))) == want
+        assert normalize(element((1, 0, 6)), "rightmost") == want
+
+    def test_violation_created_one_pair_right(self):
+        # (0, 3) at j = 0 becomes (2, 1), and 6 > 2 * 1 then violates
+        assert is_admissible((3, 6))
+        assert adem_expand_pair(0, 3) == element((2, 1))
+        want = element((2, 3, 4), (2, 4, 3))
+        assert normal_form([(0, 3, 6)]) == want
+        assert normalize(element((0, 3, 6))) == want
+        assert normalize(element((0, 3, 6)), "rightmost") == want
+
+    def test_violations_left_and_right_of_a_rewrite_in_longer_words(self):
+        for w in [(5, 1, 0, 6, 3), (2, 0, 3, 6, 1, 0, 6), (0, 3, 6, 0, 3, 6)]:
+            want = normal_form([w])
+            assert want, w
+            assert normalize(element(w)) == want, w
+            assert normalize(element(w), "rightmost") == want, w
 
 
 class TestProduct:

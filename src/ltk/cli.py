@@ -69,12 +69,13 @@ def _parser() -> argparse.ArgumentParser:
                         default="text")
         return sp
 
-    add("normalize", "rewrite a Lambda element to its admissible form", infile=True)
-    add("diff", "differential of a Lambda element", infile=True)
+    add("normalize", "rewrite a Lambda element to its admissible form",
+        infile=True, force=True)
+    add("diff", "differential of a Lambda element", infile=True, force=True)
     add("basis", "admissible basis of a bidegree", s=True, deg=True, force=True)
     add("homology", "cohomology dimension at a bidegree", s=True, deg=True,
         force=True)
-    add("sq0", "apply the squaring endomorphism", infile=True)
+    add("sq0", "apply the squaring endomorphism", infile=True, force=True)
     sp = add("steenrod", "right action of a Steenrod square", rank=True, infile=True)
     sp.add_argument("--deg", type=int, required=True, help="degree of the square")
     add("primitive-check", "test annihilation by all positive squares",
@@ -130,18 +131,27 @@ def _emit_basis(cfg: CommandConfig, bodies: list[str]) -> None:
         print(f"count = {len(bodies)}", file=sys.stderr)
 
 
+def _load_guarded(cfg: CommandConfig, image) -> la.LambdaElement:
+    """The input element, once the basis of the bidegree image(s, d) of
+    each of its bidegrees (s, d) is within the cap.  A word with a huge
+    letter has a huge basis, so it is refused before any rewriting."""
+    e = _load_lambda(cfg)
+    _guard_words(cfg, *sorted({image(len(w), sum(w)) for w in e}))
+    return e
+
+
 def _cmd_normalize(cfg: CommandConfig) -> int:
-    _emit_element(cfg, la.normalize(_load_lambda(cfg)))
+    _emit_element(cfg, la.normalize(_load_guarded(cfg, lambda s, d: (s, d))))
     return OK
 
 
 def _cmd_diff(cfg: CommandConfig) -> int:
-    _emit_element(cfg, la.differential(_load_lambda(cfg)))
+    _emit_element(cfg, la.differential(_load_guarded(cfg, lambda s, d: (s + 1, d - 1))))
     return OK
 
 
 def _cmd_sq0(cfg: CommandConfig) -> int:
-    _emit_element(cfg, la.sq0(_load_lambda(cfg)))
+    _emit_element(cfg, la.sq0(_load_guarded(cfg, lambda s, d: (s, 2 * d + s))))
     return OK
 
 

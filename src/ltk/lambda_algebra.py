@@ -23,7 +23,21 @@ only the letters at i and i + 1, and raises the one at i.  So in each new
 word every pair left of i - 1 is still admissible, pair i is admissible,
 and the next leftmost violation is at i - 1, at i + 1 or at the first
 violation right of i + 1 in the old word, which all the new words share.
-normalize compares two pairs per new word and scans that shared tail once.
+The kernel, _rewrite, compares two pairs per new word and scans that
+shared tail once.
+
+Admissible input says where each word it makes can first violate, so
+product and differential hand the kernel their words classified instead
+of summing and scanning them, and sq0 of admissible words skips it:
+
+- the concatenation of two admissible words can violate only at the
+  pair where they meet;
+- a Leibniz term head + (n-j, j-1) + tail of an admissible word
+  head + (n,) + tail can violate only at the pair (j-1, tail[0]): the
+  pair before stays admissible because n - j < n <= 2 head[-1], the new
+  pair is admissible because 3j <= 2n + 1, and the tail was admissible;
+- sq0 maps admissible words to admissible words, because b <= 2a gives
+  2b + 1 <= 2(2a + 1).
 """
 
 from __future__ import annotations
@@ -80,7 +94,12 @@ def is_homogeneous(e: LambdaElement) -> bool:
 
 def is_admissible(m: LambdaMonomial) -> bool:
     """True iff every adjacent pair (a, b) of indices satisfies b <= 2a."""
-    return all(b <= 2 * a for a, b in zip(m, m[1:]))
+    bound = m[0] if m else 0  # the first letter passes its own test
+    for b in m:
+        if b > bound:
+            return False
+        bound = 2 * b
+    return True
 
 
 @functools.cache
@@ -114,32 +133,33 @@ def _last_bad(w: LambdaMonomial) -> Optional[int]:
     return None
 
 
-def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
-    """Admissible normal form of e under the defining relations.
-
-    Words are rewritten depth first from a stack of (word, i, f)
-    entries, where pair i is the word's violation to rewrite.  Each
-    word that a rewrite makes is classified as it is made: an admissible
-    one toggles into the result, any other is pushed with its own
-    violation.  The strategy picks that violation: "leftmost", the
-    canonical order, or "rightmost".  Both reach the same normal form
-    (this is exercised by the test suite).  For "leftmost", every pair
-    from i + 2 up to f - 1 is known to be admissible, so the scan for
-    the next violation right of i + 1 resumes at f (see the module
-    docstring).
-    """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    rightmost = strategy == "rightmost"
-    done: set[LambdaMonomial] = set()
-    stack: list[tuple[LambdaMonomial, int, int]] = []
-    push = stack.append
-    for w in e:
-        i = _last_bad(w) if rightmost else _first_bad(w)
+def _classify(words: Iterable[LambdaMonomial], stack: list, done: set,
+              bad=_first_bad) -> None:
+    """Toggle each admissible word into done and push every other one
+    with the violation that bad picks."""
+    for w in words:
+        i = bad(w)
         if i is None:
             done ^= {w}
         else:
-            push((w, i, i + 2))
+            stack.append((w, i, i + 2))
+
+
+def _rewrite(stack: list[tuple[LambdaMonomial, int, int]], done: set[LambdaMonomial],
+             rightmost: bool = False) -> LambdaElement:
+    """Rewrite every (word, i, f) entry of the stack depth first, toggling
+    the admissible words it reaches into done, and return done.
+
+    Pair i is the entry's violation to rewrite.  Each word that a rewrite
+    makes is classified as it is made: an admissible one toggles into
+    done, any other is pushed with its own violation.  Unless rightmost,
+    that violation is the leftmost one, and every pair from i + 2 up to
+    f - 1 is known to be admissible, so the scan for the next violation
+    right of i + 1 resumes at f (see the module docstring); f at or past
+    the word's last index means there is none.  If rightmost, f is
+    ignored and each new word is scanned for its rightmost violation.
+    """
+    push = stack.append
     while stack:
         w, i, f = stack.pop()
         head, tail = w[:i], w[i + 2:]
@@ -159,8 +179,9 @@ def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
         # f is the first violation right of pair i + 1, or last if none
         lo = 2 * w[i - 1] if i else -1  # a new word violates at i - 1 if a > lo
         hi = w[i + 2] if tail else -1   # and at i + 1 if hi > 2b
-        for a, b in pairs:
-            word = head + (a, b) + tail
+        for pair in pairs:
+            a, b = pair
+            word = head + pair + tail
             if i and a > lo:
                 push((word, i - 1, i + 1 if hi > 2 * b else f))
             elif hi > 2 * b:
@@ -174,13 +195,49 @@ def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
     return frozenset(done)
 
 
+def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
+    """Admissible normal form of e under the defining relations.
+
+    Each word is classified by its violation, and the rest is rewritten
+    depth first by _rewrite.  The strategy picks which violation:
+    "leftmost", the canonical order, or "rightmost".  Both reach the
+    same normal form (this is exercised by the test suite).
+    """
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    rightmost = strategy == "rightmost"
+    done: set[LambdaMonomial] = set()
+    stack: list[tuple[LambdaMonomial, int, int]] = []
+    _classify(e, stack, done, _last_bad if rightmost else _first_bad)
+    return _rewrite(stack, done, rightmost)
+
+
 def product(e1: LambdaElement, e2: LambdaElement) -> LambdaElement:
-    """Bilinear concatenation, normalized."""
+    """Bilinear concatenation, normalized.
+
+    The concatenation of two admissible words can violate only at their
+    junction, so it enters the rewriting classified; other words are
+    summed and normalized.
+    """
+    done: set[LambdaMonomial] = set()
+    stack: list[tuple[LambdaMonomial, int, int]] = []
     raw: set[LambdaMonomial] = set()
+    right = [(w2, is_admissible(w2)) for w2 in e2]
     for w1 in e1:
-        for w2 in e2:
-            raw ^= {w1 + w2}
-    return normalize(frozenset(raw))
+        ok1 = is_admissible(w1)
+        lo = 2 * w1[-1] if w1 else -1  # w2 violates at the junction if w2[0] > lo
+        for w2, ok2 in right:
+            word = w1 + w2
+            if not (ok1 and ok2):
+                raw ^= {word}
+            elif w1 and w2 and w2[0] > lo:
+                stack.append((word, len(w1) - 1, len(word) - 1))
+            elif word in done:
+                done.discard(word)
+            else:
+                done.add(word)
+    _classify(raw, stack, done)
+    return _rewrite(stack, done)
 
 
 @functools.cache
@@ -193,27 +250,55 @@ def _generator_differential(n: int) -> tuple[tuple[int, int], ...]:
 def differential(e: LambdaElement) -> LambdaElement:
     """The differential, extended to words by the mod-2 Leibniz rule.
 
-    Sends bidegree (s, d) to (s+1, d-1); squares to zero.
+    Sends bidegree (s, d) to (s+1, d-1); squares to zero.  The term
+    head + (n-j, j-1) + tail of an admissible word, with pair i the new
+    one, can violate only at pair i + 1, that is when tail[0] > 2(j-1):
+    pair i - 1 stays admissible because n - j < n <= 2 head[-1], and
+    (n-j, j-1) is admissible because j <= n / 2 gives 3j <= 2n + 1.  So
+    each term is pushed with its violation or toggled into the result,
+    and none is scanned.  The terms of other words are summed and
+    normalized.
     """
+    done: set[LambdaMonomial] = set()
+    stack: list[tuple[LambdaMonomial, int, int]] = []
+    push = stack.append
     raw: set[LambdaMonomial] = set()
     for w in e:
+        if not is_admissible(w):
+            for i, n in enumerate(w):
+                head, tail = w[:i], w[i + 1:]
+                for pair in _generator_differential(n):
+                    raw ^= {head + pair + tail}
+            continue
+        last = len(w)  # the last index of each term, one letter longer than w
         for i, n in enumerate(w):
+            pairs = _generator_differential(n)
+            if not pairs:
+                continue
             head, tail = w[:i], w[i + 1:]
-            for pair in _generator_differential(n):
-                raw ^= {head + pair + tail}
-    return normalize(frozenset(raw))
+            hi = tail[0] if tail else -1  # a term violates at i + 1 if hi > 2b
+            for pair in pairs:
+                word = head + pair + tail
+                if hi > 2 * pair[1]:
+                    push((word, i + 1, last))
+                elif word in done:
+                    done.discard(word)
+                else:
+                    done.add(word)
+    _classify(raw, stack, done)
+    return _rewrite(stack, done)
 
 
 def sq0(e: LambdaElement) -> LambdaElement:
     """The squaring endomorphism: every index t becomes 2t + 1.
 
     Sends bidegree (s, d) to (s, 2d + s); commutes with the differential
-    and with products.
+    and with products.  It is injective on words and keeps admissible
+    words admissible (b <= 2a gives 2b + 1 <= 2(2a + 1)), so the image
+    of admissible words needs no rewriting.
     """
-    raw: set[LambdaMonomial] = set()
-    for w in e:
-        raw ^= {tuple(2 * t + 1 for t in w)}
-    return normalize(frozenset(raw))
+    raw = frozenset(tuple(2 * t + 1 for t in w) for w in e)
+    return raw if all(map(is_admissible, e)) else normalize(raw)
 
 
 def _least_first(slots: int, remaining: int) -> int:
@@ -236,8 +321,16 @@ def admissible_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
                 out.append(prefix + pad)
             return
         hi = remaining if cap is None else min(cap, remaining)
-        for t in range(_least_first(slots, remaining), hi + 1):
-            extend(prefix + (t,), 2 * t, remaining - t, slots - 1, out)
+        if slots == 1:
+            if remaining <= hi:
+                out.append(prefix + (remaining,) + pad)
+        elif slots == 2:
+            # any first letter t >= remaining / 3 leaves an admissible last letter
+            out += [prefix + (t, remaining - t) + pad
+                    for t in range(_least_first(2, remaining), hi + 1)]
+        else:
+            for t in range(_least_first(slots, remaining), hi + 1):
+                extend(prefix + (t,), 2 * t, remaining - t, slots - 1, out)
 
     # a word of degree d has at most d nonzero letters, all before its
     # zeros: enumerate min(s, d) letters and pad, recursing at most d deep

@@ -44,6 +44,11 @@ MALFORMED = {
 CHAINS = ("L[0,0,0,0,0,30] + L[0,0,0,0,0,20] + L[3,1,0,2,0,28] +\n"
           "L[1,1,1,1,1,33] + L[1,0,6,0,3,6] + L[2,0,3,6,1,12]\n")
 
+# sums of words of length 4 and degree 20: admissible ones, some ending
+# in zeros, alone and mixed with inadmissible ones
+ADMISSIBLE = "L[8,6,4,2] + L[12,8,0,0] + L[10,5,3,2]\n"
+BLEND = "L[8,6,4,2] + L[12,8,0,0] + L[1,2,7,10] + L[0,3,6,11] + L[5,9,6,0]\n"
+
 
 def _mutant(text: str) -> str:
     """The catalog text with its first term deleted."""
@@ -74,7 +79,12 @@ COMMANDS: list[list[str]] = [
     ["normalize", "--in", "chains.f2elt"],
     ["normalize", "--in", "chains.f2elt", "--format", "json"],
     ["homology", "--s", "5", "--deg", "14", "--format", "json"],
-    ["basis", "--s", "3", "--deg", "7"],
+    *[[cmd, "--in", name, *fmt]
+      for cmd in ("diff", "sq0")
+      for name in ("admissible.f2elt", "blend.f2elt")
+      for fmt in ([], ["--format", "json"])],
+    *[["basis", "--s", s, "--deg", d]
+      for s, d in (("3", "7"), ("6", "20"), ("0", "3"), ("4", "0"))],
     *[["normalize", "--in", name] for name in MALFORMED],
     *[["psi", "--in", name] for name in MALFORMED],
     ["psi", "--rank", "3", "--in", "mixed.f2elt"],
@@ -92,7 +102,8 @@ def write_inputs(tree: str, workdir: str) -> None:
             with open(os.path.join(workdir, "u14_mutant.f2elt"), "w",
                       encoding="utf-8") as fh:
                 fh.write(_mutant(text))
-    for name, text in (*MALFORMED.items(), ("chains.f2elt", CHAINS)):
+    for name, text in (*MALFORMED.items(), ("chains.f2elt", CHAINS),
+                       ("admissible.f2elt", ADMISSIBLE), ("blend.f2elt", BLEND)):
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
 

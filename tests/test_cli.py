@@ -256,6 +256,43 @@ class TestTransferCommands:
         assert args.force
 
 
+class TestElementGuard:
+    @pytest.mark.parametrize("command", ["normalize", "diff", "sq0"])
+    def test_huge_letter_refused_quickly(self, capture, tmp_path, command):
+        # without the guard, each of these runs for minutes
+        path = write(tmp_path, "huge.f2elt", "L[0,1000000000]")
+        start = time.perf_counter()
+        code, out, err = capture(command, "--in", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == USAGE
+        assert out == ""
+        assert err.startswith("resource limit: admissible basis at (")
+        assert "--force" in err
+
+    @pytest.mark.parametrize("command, text, bidegree", [
+        ("normalize", "L[0,400000]", "(2, 400000)"),
+        ("diff", "L[400000]", "(2, 399999)"),
+        ("sq0", "L[8,4,2,1,1,1,0]", "(7, 41)"),
+    ], ids=["normalize", "diff", "sq0"])
+    def test_force_lifts_the_guard(self, capture, tmp_path, command, text, bidegree):
+        # each output bidegree has more than 200,000 admissible words
+        path = write(tmp_path, "e.f2elt", text)
+        code, out, err = capture(command, "--in", path)
+        assert code == USAGE
+        assert err.startswith(f"resource limit: admissible basis at {bidegree} ")
+        code, out, err = capture(command, "--in", path, "--force")
+        assert code == OK
+        assert out.startswith("L[") and err == ""
+        if command == "sq0":
+            assert out == "L[17,9,5,3,3,3,1]\n"
+
+    def test_guard_counts_every_bidegree_of_the_input(self, capture, tmp_path):
+        path = write(tmp_path, "e.f2elt", "L[0,2] + L[0,400000]")
+        code, _, err = capture("normalize", "--in", path)
+        assert code == USAGE
+        assert "(2, 400000)" in err
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capture):
         code, _, _ = capture("frobnicate")

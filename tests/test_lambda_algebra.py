@@ -214,6 +214,60 @@ class TestResumeIndex:
             assert normalize(element(w), "rightmost") == want, w
 
 
+def mixed_element(rng: random.Random):
+    """A sum of up to two admissible words, up to two words drawn without
+    regard to admissibility, and the unit or an admissible word ending in
+    zeros."""
+    words = [random_admissible(rng) for _ in range(rng.randrange(0, 3))]
+    words += [random_word(rng, max_len=4, max_idx=20) for _ in range(rng.randrange(0, 3))]
+    words.append(rng.choice([(), random_admissible(rng) + (0,) * rng.randrange(1, 3)]))
+    return element(*words)
+
+
+def oracle_differential(e):
+    return normal_form([w[:i] + pair + w[i + 1:]
+                        for w in e for i, n in enumerate(w) for pair in generator_diff(n)])
+
+
+class TestClassifiedInputs:
+    """product, differential and sq0 hand the words they make from
+    admissible words to the rewriting kernel classified, and the others
+    through normalize; both paths against tests.oracles.normal_form."""
+
+    # d(lam_4) = lam_3 lam_0 + lam_2 lam_1: in (4, 3) both terms violate
+    # right after the new pair, in (4, 2) only (3, 0, 2) does
+    FIXED = [ZERO, UNIT, element((4, 0, 0)), element((2, 1, 0), (0, 0)),
+             element((3, 0), (0, 3)), element((), (5, 2, 0, 0), (0, 6, 0)),
+             element((2, 0), (0, 2)), element((4, 3)), element((4, 2), (6, 4, 3)),
+             element((8, 4, 2, 0))]
+
+    def test_product(self):
+        rng = random.Random(109)
+        pairs = [(x, y) for x in self.FIXED for y in self.FIXED]
+        pairs += [(mixed_element(rng), mixed_element(rng)) for _ in range(150)]
+        for x, y in pairs:
+            assert product(x, y) == normal_form([u + v for u in x for v in y]), (x, y)
+
+    def test_differential(self):
+        rng = random.Random(113)
+        for e in self.FIXED + [mixed_element(rng) for _ in range(200)]:
+            assert differential(e) == oracle_differential(e), e
+
+    def test_sq0(self):
+        rng = random.Random(127)
+        for e in self.FIXED + [mixed_element(rng) for _ in range(200)]:
+            want = normal_form([tuple(2 * t + 1 for t in w) for w in e])
+            assert sq0(e) == want, e
+
+    def test_sq0_keeps_admissible_words_admissible(self):
+        for s in range(0, 5):
+            for d in range(0, 21):
+                for w in admissible_words_brute(s, d):
+                    image = tuple(2 * t + 1 for t in w)
+                    assert all(b <= 2 * a for a, b in zip(image, image[1:])), w
+                    assert sq0(element(w)) == element(image), w
+
+
 class TestProduct:
     def test_unit_laws(self):
         x = element((0, 2), (4, 1))
@@ -336,11 +390,13 @@ class TestAdmissibleBasis:
         assert admissible_basis(2, 2) == ((1, 1), (2, 0))
         assert admissible_basis(0, 0) == ((),)
         assert admissible_basis(0, 5) == ()
+        assert admissible_basis(4, 0) == ((0, 0, 0, 0),)
+        assert admissible_basis(3, 2) == ((1, 1, 0), (2, 0, 0))
 
     def test_against_brute_force(self):
         # s > d covers the lengths made by padding shorter words with zeros
         for s in range(0, 9):
-            for d in range(0, 13):
+            for d in range(0, 15 if s <= 6 else 13):
                 assert list(admissible_basis(s, d)) == admissible_words_brute(s, d), (s, d)
 
     def test_long_words_do_not_recurse_per_letter(self):

@@ -131,27 +131,36 @@ def _emit_basis(cfg: CommandConfig, bodies: list[str]) -> None:
         print(f"count = {len(bodies)}", file=sys.stderr)
 
 
-def _load_guarded(cfg: CommandConfig, image) -> la.LambdaElement:
-    """The input element, once the basis of the bidegree image(s, d) of
-    each of its bidegrees (s, d) is within the cap.  A word with a huge
-    letter has a huge basis, so it is refused before any rewriting."""
+def _load_guarded(cfg: CommandConfig, bidegrees) -> la.LambdaElement:
+    """The input element, once the admissible basis at each bidegree that
+    bidegrees(e) names is within the cap.  A word with a huge letter has
+    a huge basis, so it is refused before any rewriting."""
     e = _load_lambda(cfg)
-    _guard_words(cfg, *sorted({image(len(w), sum(w)) for w in e}))
+    _guard_words(cfg, *sorted(bidegrees(e)))
     return e
 
 
+def _rewritten(e: la.LambdaElement) -> set[tuple[int, int]]:
+    """The bidegrees of e's inadmissible words.  normalize and sq0 rewrite
+    only these (sq0 takes the image of the normal form), so admissible
+    input is never refused."""
+    return {(len(w), sum(w)) for w in e if not la.is_admissible(w)}
+
+
 def _cmd_normalize(cfg: CommandConfig) -> int:
-    _emit_element(cfg, la.normalize(_load_guarded(cfg, lambda s, d: (s, d))))
+    _emit_element(cfg, la.normalize(_load_guarded(cfg, _rewritten)))
     return OK
 
 
 def _cmd_diff(cfg: CommandConfig) -> int:
-    _emit_element(cfg, la.differential(_load_guarded(cfg, lambda s, d: (s + 1, d - 1))))
+    # d of any word, admissible or not, lands in (s + 1, d - 1)
+    e = _load_guarded(cfg, lambda e: {(len(w) + 1, sum(w) - 1) for w in e})
+    _emit_element(cfg, la.differential(e))
     return OK
 
 
 def _cmd_sq0(cfg: CommandConfig) -> int:
-    _emit_element(cfg, la.sq0(_load_guarded(cfg, lambda s, d: (s, 2 * d + s))))
+    _emit_element(cfg, la.sq0(_load_guarded(cfg, _rewritten)))
     return OK
 
 

@@ -38,6 +38,9 @@ of summing and scanning them, and sq0 of admissible words skips it:
   pair is admissible because 3j <= 2n + 1, and the tail was admissible;
 - sq0 maps admissible words to admissible words, because b <= 2a gives
   2b + 1 <= 2(2a + 1).
+
+Input that is not admissible is normalized first: the relations span a
+two-sided ideal that d and sq0 preserve, so the answer is the same.
 """
 
 from __future__ import annotations
@@ -133,18 +136,6 @@ def _last_bad(w: LambdaMonomial) -> Optional[int]:
     return None
 
 
-def _classify(words: Iterable[LambdaMonomial], stack: list, done: set,
-              bad=_first_bad) -> None:
-    """Toggle each admissible word into done and push every other one
-    with the violation that bad picks."""
-    for w in words:
-        i = bad(w)
-        if i is None:
-            done ^= {w}
-        else:
-            stack.append((w, i, i + 2))
-
-
 def _rewrite(stack: list[tuple[LambdaMonomial, int, int]], done: set[LambdaMonomial],
              rightmost: bool = False) -> LambdaElement:
     """Rewrite every (word, i, f) entry of the stack depth first, toggling
@@ -206,37 +197,47 @@ def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rightmost = strategy == "rightmost"
+    bad = _last_bad if rightmost else _first_bad
     done: set[LambdaMonomial] = set()
     stack: list[tuple[LambdaMonomial, int, int]] = []
-    _classify(e, stack, done, _last_bad if rightmost else _first_bad)
+    for w in e:
+        i = bad(w)
+        if i is None:
+            done ^= {w}
+        else:
+            stack.append((w, i, i + 2))
     return _rewrite(stack, done, rightmost)
+
+
+def _admissible_form(e: LambdaElement) -> LambdaElement:
+    """e itself if all its words are admissible, else its normal form.
+
+    The relations span a two-sided ideal that the differential and sq0
+    preserve, so d, sq0 and products read the same on e and on its
+    normal form."""
+    return e if all(map(is_admissible, e)) else normalize(e)
 
 
 def product(e1: LambdaElement, e2: LambdaElement) -> LambdaElement:
     """Bilinear concatenation, normalized.
 
-    The concatenation of two admissible words can violate only at their
-    junction, so it enters the rewriting classified; other words are
-    summed and normalized.
+    A factor that is not admissible is normalized first.  The
+    concatenation of two admissible words can violate only at their
+    junction, so it enters the rewriting classified.
     """
+    e1, e2 = _admissible_form(e1), _admissible_form(e2)
     done: set[LambdaMonomial] = set()
     stack: list[tuple[LambdaMonomial, int, int]] = []
-    raw: set[LambdaMonomial] = set()
-    right = [(w2, is_admissible(w2)) for w2 in e2]
     for w1 in e1:
-        ok1 = is_admissible(w1)
         lo = 2 * w1[-1] if w1 else -1  # w2 violates at the junction if w2[0] > lo
-        for w2, ok2 in right:
+        for w2 in e2:
             word = w1 + w2
-            if not (ok1 and ok2):
-                raw ^= {word}
-            elif w1 and w2 and w2[0] > lo:
+            if w1 and w2 and w2[0] > lo:
                 stack.append((word, len(w1) - 1, len(word) - 1))
             elif word in done:
                 done.discard(word)
             else:
                 done.add(word)
-    _classify(raw, stack, done)
     return _rewrite(stack, done)
 
 
@@ -256,20 +257,13 @@ def differential(e: LambdaElement) -> LambdaElement:
     pair i - 1 stays admissible because n - j < n <= 2 head[-1], and
     (n-j, j-1) is admissible because j <= n / 2 gives 3j <= 2n + 1.  So
     each term is pushed with its violation or toggled into the result,
-    and none is scanned.  The terms of other words are summed and
-    normalized.
+    and none is scanned.  An element that is not admissible is
+    normalized first.
     """
     done: set[LambdaMonomial] = set()
     stack: list[tuple[LambdaMonomial, int, int]] = []
     push = stack.append
-    raw: set[LambdaMonomial] = set()
-    for w in e:
-        if not is_admissible(w):
-            for i, n in enumerate(w):
-                head, tail = w[:i], w[i + 1:]
-                for pair in _generator_differential(n):
-                    raw ^= {head + pair + tail}
-            continue
+    for w in _admissible_form(e):
         last = len(w)  # the last index of each term, one letter longer than w
         for i, n in enumerate(w):
             pairs = _generator_differential(n)
@@ -285,7 +279,6 @@ def differential(e: LambdaElement) -> LambdaElement:
                     done.discard(word)
                 else:
                     done.add(word)
-    _classify(raw, stack, done)
     return _rewrite(stack, done)
 
 
@@ -293,12 +286,11 @@ def sq0(e: LambdaElement) -> LambdaElement:
     """The squaring endomorphism: every index t becomes 2t + 1.
 
     Sends bidegree (s, d) to (s, 2d + s); commutes with the differential
-    and with products.  It is injective on words and keeps admissible
-    words admissible (b <= 2a gives 2b + 1 <= 2(2a + 1)), so the image
-    of admissible words needs no rewriting.
+    and with products.  It keeps admissible words admissible (b <= 2a
+    gives 2b + 1 <= 2(2a + 1)) and is injective on words, so the image
+    of the normal form of e needs no rewriting.
     """
-    raw = frozenset(tuple(2 * t + 1 for t in w) for w in e)
-    return raw if all(map(is_admissible, e)) else normalize(raw)
+    return frozenset(tuple(2 * t + 1 for t in w) for w in _admissible_form(e))
 
 
 def _least_first(slots: int, remaining: int) -> int:
@@ -321,10 +313,7 @@ def admissible_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
                 out.append(prefix + pad)
             return
         hi = remaining if cap is None else min(cap, remaining)
-        if slots == 1:
-            if remaining <= hi:
-                out.append(prefix + (remaining,) + pad)
-        elif slots == 2:
+        if slots == 2:
             # any first letter t >= remaining / 3 leaves an admissible last letter
             out += [prefix + (t, remaining - t) + pad
                     for t in range(_least_first(2, remaining), hi + 1)]

@@ -272,10 +272,10 @@ class TestElementGuard:
     @pytest.mark.parametrize("command, text, bidegree", [
         ("normalize", "L[0,400000]", "(2, 400000)"),
         ("diff", "L[400000]", "(2, 399999)"),
-        ("sq0", "L[8,4,2,1,1,1,0]", "(7, 41)"),
+        ("sq0", "L[0,400000]", "(2, 400000)"),
     ], ids=["normalize", "diff", "sq0"])
     def test_force_lifts_the_guard(self, capture, tmp_path, command, text, bidegree):
-        # each output bidegree has more than 200,000 admissible words
+        # each bidegree has more than 200,000 admissible words
         path = write(tmp_path, "e.f2elt", text)
         code, out, err = capture(command, "--in", path)
         assert code == USAGE
@@ -283,8 +283,17 @@ class TestElementGuard:
         code, out, err = capture(command, "--in", path, "--force")
         assert code == OK
         assert out.startswith("L[") and err == ""
-        if command == "sq0":
-            assert out == "L[17,9,5,3,3,3,1]\n"
+
+    @pytest.mark.parametrize("command, text, expected", [
+        ("normalize", "L[1000000000,1000000000]", "L[1000000000,1000000000]\n"),
+        ("sq0", "L[8,4,2,1,1,1,0]", "L[17,9,5,3,3,3,1]\n"),
+    ], ids=["normalize", "sq0"])
+    def test_admissible_input_is_not_refused(self, capture, tmp_path, command,
+                                             text, expected):
+        # nothing is rewritten, although the basis at (2, 2000000000) and
+        # at sq0's output bidegree (7, 41) are far over the cap
+        path = write(tmp_path, "e.f2elt", text)
+        assert capture(command, "--in", path) == (OK, expected, "")
 
     def test_guard_counts_every_bidegree_of_the_input(self, capture, tmp_path):
         path = write(tmp_path, "e.f2elt", "L[0,2] + L[0,400000]")

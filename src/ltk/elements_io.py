@@ -35,7 +35,6 @@ if TYPE_CHECKING:
     from .transfer import DetectionReport
 
 SCHEMA_VERSION = 2
-FILE_EXTENSION = ".f2elt"
 # the most digits an index may have: int() refuses longer digit strings
 # by default, and the grammar refuses them on every interpreter
 MAX_DIGITS = 4300

@@ -88,6 +88,19 @@ COMMANDS: list[list[str]] = [
     *[["normalize", "--in", name] for name in MALFORMED],
     *[["psi", "--in", name] for name in MALFORMED],
     ["psi", "--rank", "3", "--in", "mixed.f2elt"],
+    # the argument layer: help, usage errors, the basis guard and --force
+    ["--help"],
+    *[[name, "--help"]
+      for name in ("normalize", "diff", "basis", "homology", "sq0", "steenrod",
+                   "primitive-check", "primitive-basis", "psi", "verify",
+                   "transfer-image", "find-preimage")],
+    [],
+    ["frobnicate"],
+    ["basis", "--deg", "3"],
+    ["homology", "--s", "1", "--deg", "2", "--format", "xml"],
+    ["basis", "--s", "7", "--deg", "40"],
+    ["primitive-basis", "--rank", "7", "--deg", "40"],
+    ["basis", "--s", "2", "--deg", "3", "--force"],
 ]
 
 

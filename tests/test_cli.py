@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltk import catalog, elements_io, homology
 from ltk.cli import FALSIFIED, OK, USAGE, _parser, run
@@ -173,6 +177,19 @@ class TestVerify:
         code, _, err = capture("verify", "--class", "h0d0", "--in", path)
         assert code == USAGE
         assert "arity" in err
+
+    @pytest.mark.parametrize("text", ["a(60,0,0,0,0)", "a(120,0,0,0,0)"])
+    def test_verify_custom_input_over_the_basis_cap_refused_quickly(
+            self, capture, tmp_path, text):
+        # Ext at the input's bidegree (5, 60) or (5, 120) needs a basis of
+        # more than 200,000 words; without the guard each runs for minutes
+        path = write(tmp_path, "big.f2elt", text)
+        start = time.perf_counter()
+        code, out, err = capture("verify", "--class", "h0d0", "--in", path)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (USAGE, "")
+        assert err.startswith("resource limit: admissible basis at (")
+        assert "--force" not in err
 
 
 class TestTransferCommands:
@@ -344,3 +361,70 @@ class TestConsecutiveRuns:
         assert "--deg" in err
         code, out, err = capture("basis", "--s", "2", "--deg", "2")
         assert (code, out, err) == (OK, "L[1,1]\nL[2,0]\n", "count = 2\n")
+
+
+# the flags each subcommand takes besides --format
+FLAGS = {
+    "normalize": ("--in", "--force"),
+    "diff": ("--in", "--force"),
+    "basis": ("--s", "--deg", "--force"),
+    "homology": ("--s", "--deg", "--force"),
+    "sq0": ("--in", "--force"),
+    "steenrod": ("--rank", "--in", "--deg"),
+    "primitive-check": ("--rank", "--in"),
+    "primitive-basis": ("--deg", "--rank", "--force"),
+    "psi": ("--rank", "--in"),
+    "verify": ("--in", "--class"),
+    "transfer-image": ("--s", "--deg", "--force"),
+    "find-preimage": ("--s", "--in", "--force"),
+}
+FUZZ_FILES = {
+    "u14.f2elt": elements_io.serialize_gamma(catalog.entry("u14").element),
+    "h0.f2elt": elements_io.serialize_lambda(catalog.entry("h0").element),
+    "malformed.f2elt": "L[1,",
+    "zero.f2elt": "0",
+    "mixed.f2elt": "a(1,2) + a(1,2,3)",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+def _words(fuzz_dir, flag):
+    """The argv words of one flag with a drawn value."""
+    ints = st.integers(-2, 8).map(str)
+    value = {
+        "--s": ints, "--deg": ints, "--rank": ints,
+        "--in": st.sampled_from([*FUZZ_FILES, "absent.f2elt"]).map(
+            lambda name: str(fuzz_dir / name)),
+        "--format": st.sampled_from(["text", "json", "xml"]),
+        "--class": st.sampled_from(["h0d0", "h2e0", "h1h4c0", "h9z9"]),
+    }.get(flag)
+    return st.just([flag]) if value is None else value.map(lambda v: [flag, v])
+
+
+class TestArgvFuzz:
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(data=st.data())
+    def test_exit_code_is_0_1_or_2(self, fuzz_dir, data):
+        # each of the command's own flags, most of the time, so that many
+        # runs get past the parser to a handler; now and then a flag the
+        # command does not take
+        command = data.draw(st.sampled_from(sorted(FLAGS)))
+        argv = [command]
+        for flag in (*FLAGS[command], "--format"):
+            if data.draw(st.sampled_from([True, True, True, False])):
+                argv += data.draw(_words(fuzz_dir, flag))
+        stray = data.draw(st.sampled_from(
+            [None] * 4 + ["--s", "--deg", "--rank", "--in", "--force", "--class"]))
+        if stray is not None:
+            argv += data.draw(_words(fuzz_dir, stray))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+        assert code in (OK, FALSIFIED, USAGE), argv

@@ -93,8 +93,15 @@ def _load_lambda(args: argparse.Namespace) -> la.LambdaElement:
 
 
 def _load_gamma(args: argparse.Namespace) -> dp.GammaElement:
-    return elements_io.parse_document(_read_file(args.path), kind="gamma",
-                                      rank=args.rank).element
+    """The input element, once the monomial basis at each (rank, degree)
+    of its terms is within the cap.  A huge exponent would keep the
+    Steenrod fold and psi's rewriting busy for ages, so it is refused
+    before either; these commands take no --force."""
+    e = elements_io.parse_document(_read_file(args.path), kind="gamma",
+                                   rank=args.rank).element
+    for s, d in sorted({(len(m), sum(m)) for m in e}):
+        transfer._guard_basis(s, d, args.max_basis, hint="")
+    return e
 
 
 def _emit_json(**fields) -> None:

@@ -6,11 +6,17 @@ previous slice produce each boundary.  Class-level questions (is this a
 boundary, are these two cycles homologous) reduce to a reduction against
 such a span.  boundary_witness places each word of its element in the
 sorted basis with bisect, so one question about a few words builds no
-index over a basis of thousands.  Ext dimensions need ranks only: the
-rank of the differential out of each bidegree is kept in a memo of plain
-ints, filled by slice_at or computed once, so each differential image is
-built at most once per process.  Witnesses are always re-verified by
+index over a basis of thousands.  Witnesses are always re-verified by
 applying the differential before they are returned.
+
+Ext dimensions need ranks only, and take a path of their own.
+lambda_algebra.differential_rows turns each basis word straight into its
+bit row over the codomain basis, and rank_out eliminates those rows
+against their pivots alone: no provenance is kept, so only the echelon
+rows are held.  The rank out of each bidegree is kept in a memo of plain
+ints, filled by slice_at or by rank_out, so each differential is
+computed at most once per process.  slice_at and transfer.find_preimage
+feed the same rows to a provenance span.
 """
 
 from __future__ import annotations
@@ -57,32 +63,29 @@ def bit_rows(elements: Iterable[LambdaElement],
         yield bits
 
 
-def differentials(domain: tuple[LambdaMonomial, ...]) -> Iterator[LambdaElement]:
-    """The differential of each word, in order."""
-    return (la.differential(frozenset({w})) for w in domain)
-
-
-def _image_span(domain: tuple[LambdaMonomial, ...],
-                codomain: tuple[LambdaMonomial, ...]) -> f2core.Span:
-    span = f2core.Span()
-    for row in bit_rows(differentials(domain), codomain):
-        span.add(row)
-    return span
-
-
 # rank of the differential out of (s, d), into (s+1, d-1); only ints are
 # kept, since a cached span or slice would hold its bases in memory
 _RANK_OUT: dict[tuple[int, int], int] = {}
 
 
 def rank_out(s: int, d: int) -> int:
-    """Rank of the differential from (s, d) to (s+1, d-1), computed once."""
+    """Rank of the differential from (s, d) to (s+1, d-1), computed once
+    and without provenance."""
     if s < 0 or d < 1:
         return 0
     rank = _RANK_OUT.get((s, d))
     if rank is None:
-        rank = _RANK_OUT[s, d] = len(_image_span(
-            la.admissible_basis(s, d), la.admissible_basis(s + 1, d - 1)))
+        pivots: dict[int, int] = {}  # top bit -> echelon row
+        for row in la.differential_rows(la.admissible_basis(s, d),
+                                        la.admissible_basis(s + 1, d - 1)):
+            while row:
+                top = row.bit_length() - 1
+                pivot = pivots.get(top)
+                if pivot is None:
+                    pivots[top] = row
+                    break
+                row ^= pivot
+        rank = _RANK_OUT[s, d] = len(pivots)
     return rank
 
 
@@ -92,7 +95,9 @@ def slice_at(s: int, d: int) -> BidegreeSlice:
     the rank of its boundaries as rank_out(s - 1, d + 1)."""
     basis = la.admissible_basis(s, d)
     prev_basis = la.admissible_basis(s - 1, d + 1) if s >= 1 else ()
-    boundaries = _image_span(prev_basis, basis)
+    boundaries = f2core.Span()
+    for row in la.differential_rows(prev_basis, basis):
+        boundaries.add(row)
     if s >= 1:
         _RANK_OUT[s - 1, d + 1] = len(boundaries)
     return BidegreeSlice(

@@ -39,6 +39,10 @@ of summing and scanning them, and sq0 of admissible words skips it:
 - sq0 maps admissible words to admissible words, because b <= 2a gives
   2b + 1 <= 2(2a + 1).
 
+differential_rows differentiates basis words one at a time through the
+same Leibniz step and kernel, reusing one stack and one result set, and
+turns each differential straight into a bit row over the codomain basis.
+
 Input that is not admissible is normalized first: the relations span a
 two-sided ideal that d and sq0 preserve, so the answer is the same.
 """
@@ -46,12 +50,16 @@ two-sided ideal that d and sq0 preserve, so the answer is the same.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, NamedTuple, Optional
+from collections import defaultdict
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .f2core import binom_mod2
 
 LambdaMonomial = tuple[int, ...]
 LambdaElement = frozenset  # of LambdaMonomial
+
+# the rewriting kernel's work list: (word, violation i, scan resume f)
+_Stack = list[tuple[LambdaMonomial, int, int]]
 
 ZERO: LambdaElement = frozenset()
 UNIT: LambdaElement = frozenset({()})
@@ -136,19 +144,21 @@ def _last_bad(w: LambdaMonomial) -> Optional[int]:
     return None
 
 
-def _rewrite(stack: list[tuple[LambdaMonomial, int, int]], done: set[LambdaMonomial],
-             rightmost: bool = False) -> LambdaElement:
+def _rewrite(stack: _Stack, done: set[LambdaMonomial], last: int,
+             rightmost: bool = False) -> None:
     """Rewrite every (word, i, f) entry of the stack depth first, toggling
-    the admissible words it reaches into done, and return done.
+    the admissible words it reaches into done.
 
-    Pair i is the entry's violation to rewrite.  Each word that a rewrite
-    makes is classified as it is made: an admissible one toggles into
-    done, any other is pushed with its own violation.  Unless rightmost,
-    that violation is the leftmost one, and every pair from i + 2 up to
-    f - 1 is known to be admissible, so the scan for the next violation
-    right of i + 1 resumes at f (see the module docstring); f at or past
-    the word's last index means there is none.  If rightmost, f is
-    ignored and each new word is scanned for its rightmost violation.
+    Every word on the stack has last index `last`, and so has every word
+    a rewrite makes from it.  Pair i is the entry's violation to rewrite.
+    Each word that a rewrite makes is classified as it is made: an
+    admissible one toggles into done, any other is pushed with its own
+    violation.  Unless rightmost, that violation is the leftmost one, and
+    every pair from i + 2 up to f - 1 is known to be admissible, so the
+    scan for the next violation right of i + 1 resumes at f (see the
+    module docstring); f at or past last means there is none.  If
+    rightmost, f is ignored and each new word is scanned for its
+    rightmost violation.
     """
     push = stack.append
     while stack:
@@ -164,7 +174,6 @@ def _rewrite(stack: list[tuple[LambdaMonomial, int, int]], done: set[LambdaMonom
                 else:
                     push((word, j, 0))
             continue
-        last = len(w) - 1
         while f < last and w[f + 1] <= 2 * w[f]:
             f += 1
         # f is the first violation right of pair i + 1, or last if none
@@ -183,30 +192,32 @@ def _rewrite(stack: list[tuple[LambdaMonomial, int, int]], done: set[LambdaMonom
                 done.discard(word)
             else:
                 done.add(word)
-    return frozenset(done)
 
 
 def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
     """Admissible normal form of e under the defining relations.
 
     Each word is classified by its violation, and the rest is rewritten
-    depth first by _rewrite.  The strategy picks which violation:
-    "leftmost", the canonical order, or "rightmost".  Both reach the
-    same normal form (this is exercised by the test suite).
+    depth first by _rewrite, one word length at a time.  The strategy
+    picks which violation: "leftmost", the canonical order, or
+    "rightmost".  Both reach the same normal form (this is exercised by
+    the test suite).
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rightmost = strategy == "rightmost"
     bad = _last_bad if rightmost else _first_bad
     done: set[LambdaMonomial] = set()
-    stack: list[tuple[LambdaMonomial, int, int]] = []
+    stacks: defaultdict[int, _Stack] = defaultdict(list)
     for w in e:
         i = bad(w)
         if i is None:
             done ^= {w}
         else:
-            stack.append((w, i, i + 2))
-    return _rewrite(stack, done, rightmost)
+            stacks[len(w) - 1].append((w, i, i + 2))
+    for last, stack in stacks.items():
+        _rewrite(stack, done, last, rightmost)
+    return frozenset(done)
 
 
 def _admissible_form(e: LambdaElement) -> LambdaElement:
@@ -227,18 +238,21 @@ def product(e1: LambdaElement, e2: LambdaElement) -> LambdaElement:
     """
     e1, e2 = _admissible_form(e1), _admissible_form(e2)
     done: set[LambdaMonomial] = set()
-    stack: list[tuple[LambdaMonomial, int, int]] = []
+    stacks: defaultdict[int, _Stack] = defaultdict(list)
     for w1 in e1:
         lo = 2 * w1[-1] if w1 else -1  # w2 violates at the junction if w2[0] > lo
         for w2 in e2:
             word = w1 + w2
             if w1 and w2 and w2[0] > lo:
-                stack.append((word, len(w1) - 1, len(word) - 1))
+                last = len(word) - 1
+                stacks[last].append((word, len(w1) - 1, last))
             elif word in done:
                 done.discard(word)
             else:
                 done.add(word)
-    return _rewrite(stack, done)
+    for last, stack in stacks.items():
+        _rewrite(stack, done, last)
+    return frozenset(done)
 
 
 @functools.cache
@@ -248,38 +262,67 @@ def _generator_differential(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+def _leibniz(w: LambdaMonomial, stack: _Stack, done: set[LambdaMonomial]) -> None:
+    """Push each Leibniz term of d(w), w admissible, onto the stack with
+    its violation, or toggle it into done if it is admissible.
+
+    The term head + (n-j, j-1) + tail, with pair i the new one, can
+    violate only at pair i + 1, that is when tail[0] > 2(j-1): pair i - 1
+    stays admissible because n - j < n <= 2 head[-1], and (n-j, j-1) is
+    admissible because j <= n / 2 gives 3j <= 2n + 1.  So no term is
+    scanned.  Every term has last index len(w).
+    """
+    push = stack.append
+    last = len(w)
+    for i, n in enumerate(w):
+        pairs = _generator_differential(n)
+        if not pairs:
+            continue
+        head, tail = w[:i], w[i + 1:]
+        hi = tail[0] if tail else -1  # a term violates at i + 1 if hi > 2b
+        for pair in pairs:
+            word = head + pair + tail
+            if hi > 2 * pair[1]:
+                push((word, i + 1, last))
+            elif word in done:
+                done.discard(word)
+            else:
+                done.add(word)
+
+
 def differential(e: LambdaElement) -> LambdaElement:
     """The differential, extended to words by the mod-2 Leibniz rule.
 
-    Sends bidegree (s, d) to (s+1, d-1); squares to zero.  The term
-    head + (n-j, j-1) + tail of an admissible word, with pair i the new
-    one, can violate only at pair i + 1, that is when tail[0] > 2(j-1):
-    pair i - 1 stays admissible because n - j < n <= 2 head[-1], and
-    (n-j, j-1) is admissible because j <= n / 2 gives 3j <= 2n + 1.  So
-    each term is pushed with its violation or toggled into the result,
-    and none is scanned.  An element that is not admissible is
-    normalized first.
+    Sends bidegree (s, d) to (s+1, d-1); squares to zero.  Each word's
+    Leibniz terms enter the rewriting classified (see _leibniz).  An
+    element that is not admissible is normalized first.
     """
     done: set[LambdaMonomial] = set()
-    stack: list[tuple[LambdaMonomial, int, int]] = []
-    push = stack.append
+    stacks: defaultdict[int, _Stack] = defaultdict(list)
     for w in _admissible_form(e):
-        last = len(w)  # the last index of each term, one letter longer than w
-        for i, n in enumerate(w):
-            pairs = _generator_differential(n)
-            if not pairs:
-                continue
-            head, tail = w[:i], w[i + 1:]
-            hi = tail[0] if tail else -1  # a term violates at i + 1 if hi > 2b
-            for pair in pairs:
-                word = head + pair + tail
-                if hi > 2 * pair[1]:
-                    push((word, i + 1, last))
-                elif word in done:
-                    done.discard(word)
-                else:
-                    done.add(word)
-    return _rewrite(stack, done)
+        _leibniz(w, stacks[len(w)], done)
+    for last, stack in stacks.items():
+        _rewrite(stack, done, last)
+    return frozenset(done)
+
+
+def differential_rows(domain: Iterable[LambdaMonomial],
+                      codomain: tuple[LambdaMonomial, ...]) -> Iterator[int]:
+    """The differential of each admissible word of domain, in order, as a
+    bit row: bit i stands for codomain[i], which must hold every word
+    the differentials reach.  One done set and one stack serve every
+    word, and no element is built."""
+    index = {w: i for i, w in enumerate(codomain)}
+    done: set[LambdaMonomial] = set()
+    stack: _Stack = []
+    for w in domain:
+        _leibniz(w, stack, done)
+        _rewrite(stack, done, len(w))
+        bits = 0
+        for t in done:
+            bits |= 1 << index[t]
+        done.clear()
+        yield bits
 
 
 def sq0(e: LambdaElement) -> LambdaElement:

@@ -191,12 +191,13 @@ def verify_detection(u: CatalogEntry, target: LambdaElement,
     )
 
 
-def _guard_basis(s: int, d: int, max_basis: Optional[int]) -> None:
+def _guard_basis(s: int, d: int, max_basis: Optional[int],
+                 hint: str = "; pass force to proceed") -> None:
     size = comb(d + s - 1, s - 1)
     if max_basis is not None and size > max_basis:
         raise ResourceLimitError(
             f"monomial basis at rank {s}, degree {d} has {size} elements "
-            f"(cap {max_basis}); pass force to proceed"
+            f"(cap {max_basis}){hint}"
         )
 
 
@@ -232,14 +233,16 @@ def find_preimage(s: int, target: LambdaElement,
     sl = homology.slice_at(s, d)
     # rows 0 .. len(prims)-1 are the primitive images, the rest are boundaries
     span = f2core.Span()
-    for row in homology.bit_rows(
-            itertools.chain(images, homology.differentials(sl.prev_basis)), sl.basis):
+    for row in itertools.chain(homology.bit_rows(images, sl.basis),
+                               la.differential_rows(sl.prev_basis, sl.basis)):
         span.add(row)
     residual, x = span.reduce(next(homology.bit_rows([target], sl.basis)))
     if residual:
         return None
+    # the boundary rows' bits of x say which boundary moves the images to
+    # the target; the preimage is read off the images' bits alone
     preimage: set = set()
-    for i in f2core.set_bits(x):
+    for i in f2core.set_bits(x & ((1 << len(prims)) - 1)):
         preimage ^= prims[i]
     result = frozenset(preimage)
     equal, _ = homology.same_class(psi(result), target)

@@ -79,6 +79,10 @@ COMMANDS: list[list[str]] = [
     ["normalize", "--in", "chains.f2elt"],
     ["normalize", "--in", "chains.f2elt", "--format", "json"],
     ["homology", "--s", "5", "--deg", "14", "--format", "json"],
+    *[["homology", "--s", s, "--deg", d, *fmt]
+      for s, d in (("5", "20"), ("5", "24"), ("4", "20"), ("6", "30"))
+      for fmt in ([], ["--format", "json"])],
+    ["transfer-image", "--s", "5", "--deg", "20"],
     *[[cmd, "--in", name, *fmt]
       for cmd in ("diff", "sq0")
       for name in ("admissible.f2elt", "blend.f2elt")

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltk import catalog, elements_io, homology
+from ltk import catalog, elements_io, homology, transfer
+from ltk import divided_power as dp
 from ltk.cli import FALSIFIED, OK, USAGE, _parser, run
 from ltk.lambda_algebra import product
 
@@ -317,6 +318,47 @@ class TestElementGuard:
         code, _, err = capture("normalize", "--in", path)
         assert code == USAGE
         assert "(2, 400000)" in err
+
+
+GAMMA_COMMANDS = [["psi", "--rank", "5"], ["primitive-check", "--rank", "5"],
+                  ["steenrod", "--rank", "5", "--deg", "1"]]
+
+
+class TestGammaGuard:
+    """psi, primitive-check and steenrod refuse an input whose monomial
+    basis at its (rank, degree) is over the cap, before any folding."""
+
+    @pytest.mark.parametrize("argv", GAMMA_COMMANDS, ids=lambda argv: argv[0])
+    def test_huge_exponent_refused_quickly(self, capture, tmp_path, argv):
+        # without the guard, each of these runs for minutes
+        path = write(tmp_path, "huge.f2elt", "a(1000000000,0,0,0,0)")
+        start = time.perf_counter()
+        code, out, err = capture(*argv, "--in", path)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (USAGE, "")
+        assert err.startswith(
+            "resource limit: monomial basis at rank 5, degree 1000000000 has ")
+        assert "force" not in err
+
+    def test_guard_counts_every_degree_of_the_input(self, capture, tmp_path):
+        path = write(tmp_path, "e.f2elt", "a(1,0) + a(0,400000)")
+        code, _, err = capture("psi", "--in", path)
+        assert code == USAGE
+        assert "rank 2, degree 400000 " in err
+
+    @pytest.mark.parametrize("name", ["u14", "u20", "u24"])
+    @pytest.mark.parametrize("argv", GAMMA_COMMANDS, ids=lambda argv: argv[0])
+    def test_catalog_inputs_answer_as_the_library(self, capture, tmp_path, argv, name):
+        e = catalog.entry(name).element
+        path = write(tmp_path, "u.f2elt", elements_io.serialize_gamma(e))
+        if argv[0] == "psi":
+            want = elements_io.serialize_lambda(transfer.psi(e)) + "\n"
+        elif argv[0] == "steenrod":
+            want = elements_io.serialize_gamma(dp.sq_right(e, 1)) + "\n"
+        else:
+            want = "".join(f"Sq^{i} -> {elements_io.serialize_gamma(image)}\n"
+                           for i, image in dp.is_primitive(e).checked) + "primitive\n"
+        assert capture(*argv, "--in", path) == (OK, want, "")
 
 
 class TestUsageErrors:

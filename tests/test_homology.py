@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ltk import catalog, homology, lambda_algebra
-from ltk.f2core import BitMatrix, rank
+from ltk.f2core import BitMatrix, Span, rank
 from ltk.homology import (
     NotACycleError,
     boundary_witness,
@@ -203,15 +203,18 @@ def fresh_caches():
     clear()
 
 
-def counting_differential(monkeypatch) -> list[int]:
-    """Count the words put through lambda_algebra.differential."""
+def counting_rows(monkeypatch) -> list[int]:
+    """Count the words that lambda_algebra.differential_rows differentiates."""
     calls = [0]
-    inner = lambda_algebra.differential
+    inner = lambda_algebra.differential_rows
 
-    def counted(e):
-        calls[0] += len(e)
-        return inner(e)
-    monkeypatch.setattr(lambda_algebra, "differential", counted)
+    def counted(domain, codomain):
+        def words():
+            for w in domain:
+                calls[0] += 1
+                yield w
+        return inner(words(), codomain)
+    monkeypatch.setattr(lambda_algebra, "differential_rows", counted)
     return calls
 
 
@@ -238,7 +241,7 @@ class TestRankMemo:
             assert ext_dimension(*cell) == expected[cell], cell
 
     def test_each_word_differentiated_once(self, fresh_caches, monkeypatch):
-        calls = counting_differential(monkeypatch)
+        calls = counting_rows(monkeypatch)
         grid = [(s, t - s) for t in range(11) for s in range(t + 1)]
         dims = [ext_dimension(s, d) for s, d in grid]
         assert calls[0] == sum(len(admissible_basis(s, d)) for s, d in grid if d >= 1)
@@ -248,10 +251,39 @@ class TestRankMemo:
 
     def test_slice_fills_the_incoming_rank(self, fresh_caches, monkeypatch):
         sl = slice_at(4, 10)
-        calls = counting_differential(monkeypatch)
+        calls = counting_rows(monkeypatch)
         assert ext_dimension(4, 10) == len(sl.basis) - rank_out(4, 10) - len(sl.boundaries)
         # only the outgoing differential of (4, 10) was new
         assert calls[0] == len(sl.basis)
+
+
+class TestRankPath:
+    """rank_out eliminates differential_rows without provenance; slice_at
+    and find_preimage feed the same rows to a Span."""
+
+    # every chart cell (s + d <= 21) and the next three diagonals, where a
+    # rewrite that stops its scan one pair short first goes wrong
+    CELLS = [(s, t - s) for t in range(25) for s in range(t)]
+
+    def test_rows_match_the_differential_and_ranks_match_a_span(self, fresh_caches):
+        for s, d in self.CELLS:
+            domain = admissible_basis(s, d)
+            codomain = admissible_basis(s + 1, d - 1)
+            rows = list(lambda_algebra.differential_rows(domain, codomain))
+            # bit_rows of each word's differential, one index for the cell
+            assert rows == list(homology.bit_rows(
+                (differential(frozenset({w})) for w in domain), codomain)), (s, d)
+            span = Span()
+            for row in rows:
+                span.add(row)
+            assert rank_out(s, d) == len(span), (s, d)
+
+    def test_rows_take_any_iterable_of_admissible_words(self):
+        codomain = admissible_basis(3, 9)
+        domain = admissible_basis(2, 10)
+        assert (list(lambda_algebra.differential_rows(iter(domain), codomain))
+                == list(lambda_algebra.differential_rows(domain, codomain)))
+        assert list(lambda_algebra.differential_rows((), codomain)) == []
 
 
 class TestSameClass:

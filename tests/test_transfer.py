@@ -253,6 +253,16 @@ class TestFindPreimage:
         equal, _ = homology.same_class(psi(theta), target)
         assert equal
 
+    def test_target_moved_by_a_boundary_keeps_its_preimage(self):
+        # the solve must use the boundary rows, not only the images
+        target = la.product(catalog.entry("d0").element, catalog.entry("h0").element)
+        sl = homology.slice_at(5, 14)
+        boundary = next(d for d in map(la.differential, map(la.element, sl.prev_basis)) if d)
+        moved = target ^ boundary
+        theta = find_preimage(5, moved)
+        assert theta is not None and dp.is_primitive(theta).holds
+        assert homology.same_class(psi(theta), moved)[0]
+
     def test_boundary_target_yields_zero_element(self):
         assert find_preimage(2, la.element((1, 0))) == dp.ZERO
         assert find_preimage(3, la.ZERO) == dp.ZERO

@@ -96,11 +96,10 @@ def _load_gamma(args: argparse.Namespace) -> dp.GammaElement:
     """The input element, once the monomial basis at each (rank, degree)
     of its terms is within the cap.  A huge exponent would keep the
     Steenrod fold and psi's rewriting busy for ages, so it is refused
-    before either; these commands take no --force."""
+    before either."""
     e = elements_io.parse_document(_read_file(args.path), kind="gamma",
                                    rank=args.rank).element
-    for s, d in sorted({(len(m), sum(m)) for m in e}):
-        transfer._guard_basis(s, d, args.max_basis, hint="")
+    transfer.guard(args.max_basis, monomials=[(len(m), sum(m)) for m in e])
     return e
 
 
@@ -127,65 +126,43 @@ def _emit_basis(args: argparse.Namespace, bodies: list[str]) -> None:
         print(f"count = {len(bodies)}", file=sys.stderr)
 
 
-def _load_guarded(args: argparse.Namespace, bidegrees) -> la.LambdaElement:
-    """The input element, once the admissible basis at each bidegree that
-    bidegrees(e) names is within the cap.  A word with a huge letter has
-    a huge basis, so it is refused before any rewriting."""
+def _load_rewritten(args: argparse.Namespace) -> la.LambdaElement:
+    """The input element, once the admissible basis at each inadmissible
+    word's bidegree is within the cap.  normalize and sq0 rewrite only
+    those words (sq0 takes the image of the normal form)."""
     e = _load_lambda(args)
-    _guard_words(args, *sorted(bidegrees(e)))
+    transfer.guard(args.max_basis,
+                   words=[(len(w), sum(w)) for w in e if not la.is_admissible(w)])
     return e
 
 
-def _rewritten(e: la.LambdaElement) -> set[tuple[int, int]]:
-    """The bidegrees of e's inadmissible words.  normalize and sq0 rewrite
-    only these (sq0 takes the image of the normal form), so admissible
-    input is never refused."""
-    return {(len(w), sum(w)) for w in e if not la.is_admissible(w)}
-
-
 def _cmd_normalize(args: argparse.Namespace) -> int:
-    _emit_element(args, la.normalize(_load_guarded(args, _rewritten)))
+    _emit_element(args, la.normalize(_load_rewritten(args)))
     return OK
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    e = _load_lambda(args)
     # d of any word, admissible or not, lands in (s + 1, d - 1)
-    e = _load_guarded(args, lambda e: {(len(w) + 1, sum(w) - 1) for w in e})
+    transfer.guard(args.max_basis, words=[(len(w) + 1, sum(w) - 1) for w in e])
     _emit_element(args, la.differential(e))
     return OK
 
 
 def _cmd_sq0(args: argparse.Namespace) -> int:
-    _emit_element(args, la.sq0(_load_guarded(args, _rewritten)))
+    _emit_element(args, la.sq0(_load_rewritten(args)))
     return OK
 
 
-def _guard_words(args: argparse.Namespace, *bidegrees: tuple[int, int]) -> None:
-    """Refuse, before enumerating anything, admissible bases over the cap."""
-    if args.max_basis is None:
-        return
-    for s, d in bidegrees:
-        if la.admissible_count(s, d, args.max_basis) > args.max_basis:
-            hint = "; pass --force to proceed" if "force" in args else ""
-            raise transfer.ResourceLimitError(
-                f"admissible basis at ({s}, {d}) has more than {args.max_basis} "
-                f"words{hint}")
-
-
-def _guard_ext(args: argparse.Namespace, s: int, d: int) -> None:
-    # ext_dimension differentiates (s-1, d+1) and (s, d) into (s+1, d-1)
-    _guard_words(args, (s - 1, d + 1), (s, d), (s + 1, d - 1))
-
-
 def _cmd_basis(args: argparse.Namespace) -> int:
-    _guard_words(args, (args.s, args.deg))
+    transfer.guard(args.max_basis, words=[(args.s, args.deg)])
     words = la.admissible_basis(args.s, args.deg)
     _emit_basis(args, [elements_io.serialize_lambda(frozenset({w})) for w in words])
     return OK
 
 
 def _cmd_homology(args: argparse.Namespace) -> int:
-    _guard_ext(args, args.s, args.deg)
+    transfer.guard(args.max_basis, words=transfer.cells(args.s, args.deg))
     dim = homology.ext_dimension(args.s, args.deg)
     if args.fmt == "json":
         _emit_json(s=args.s, deg=args.deg, dim=dim)
@@ -215,7 +192,7 @@ def _cmd_primitive_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_primitive_basis(args: argparse.Namespace) -> int:
-    transfer._guard_basis(args.rank, args.deg, args.max_basis)
+    transfer.guard(args.max_basis, monomials=[(args.rank, args.deg)])
     basis = dp.primitive_basis(args.rank, args.deg)
     _emit_basis(args, [elements_io.serialize_gamma(e) for e in basis])
     return OK
@@ -232,9 +209,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         s, stored_d = catalog.entry(u_name).bidegree
         e = elements_io.parse_gamma(_read_file(args.path), s)
         degrees = {sum(m) for m in e}
-        d = degrees.pop() if len(degrees) == 1 else stored_d
-        # verify_detection computes Ext at the input's own bidegree
-        _guard_ext(args, s, d)
+        d = next(iter(degrees)) if len(degrees) == 1 else stored_d
+        # verify_detection computes Ext at the input's own bidegree, and
+        # psi of each term at that term's degree
+        transfer.guard(args.max_basis,
+                       words=[*transfer.cells(s, d), *((s, t) for t in degrees)])
         u = catalog.CatalogEntry(f"{u_name}(custom)", catalog.GAMMA, (s, d), e)
     else:
         u = catalog.entry(u_name)
@@ -263,9 +242,9 @@ def _cmd_transfer_image(args: argparse.Namespace) -> int:
 
 
 def _cmd_find_preimage(args: argparse.Namespace) -> int:
-    target = la.normalize(_load_lambda(args))
-    # find_preimage validates that the target is a cycle
-    preimage = transfer.find_preimage(args.s, target, max_basis=args.max_basis)
+    # find_preimage normalizes the target and checks that it is a cycle
+    preimage = transfer.find_preimage(args.s, _load_lambda(args),
+                                      max_basis=args.max_basis)
     # find_preimage answers a trivial class, and only that, with zero
     trivial = preimage is not None and not preimage
     if args.fmt == "json":
@@ -295,7 +274,8 @@ def run(argv: list[str]) -> int:
     try:
         return args.handler(args)
     except transfer.ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+        hint = "; pass --force to proceed" if "force" in args else ""
+        print(f"resource limit: {exc}{hint}", file=sys.stderr)
         return USAGE
     except (elements_io.ParseError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

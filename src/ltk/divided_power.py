@@ -17,11 +17,12 @@ squares, each state tagged with the square it belongs to, so the
 primitivity test, the stacked map of primitive_basis and the transfer's
 sum over squares make one pass per monomial.  The squares one factor
 a^(t) absorbs (the i <= t/2 with C(t-i, i) odd) come from a table per
-exponent value.  A partial distribution survives only while the
-factors after it can still absorb its remainder, at most the sum of
-their t // 2, so every surviving state ends at remainder 0.  Distinct
-distributions give distinct monomials, so nothing cancels within one
-monomial and the states need no mod-2 bookkeeping.
+exponent value; the last factor must take exactly the remainder, so
+it needs one parity test.  A partial distribution survives only while
+the factors after it can still absorb its remainder, at most the sum
+of their t // 2, so every surviving state ends at remainder 0.
+Distinct distributions give distinct monomials, so nothing cancels
+within one monomial and the states need no mod-2 bookkeeping.
 """
 
 from __future__ import annotations
@@ -96,6 +97,12 @@ def _sq_fold(m: GammaMonomial, squares: tuple[int, ...]) -> list[list[GammaMonom
     states = [((), i, tag) for tag, i in enumerate(squares) if i <= room[0]]
     for k, t in enumerate(m):
         if not states:
+            break
+        if k == len(m) - 1:
+            # the last factor must absorb exactly the remainder left to it;
+            # C(t - rem, rem) is odd iff rem's bits lie in t - rem's (Lucas)
+            states = [(partial + (t - rem,), 0, tag) for partial, rem, tag in states
+                      if (t - rem) & rem == rem]
             break
         after = room[k + 1]
         absorbs = _absorbs(t)

@@ -23,7 +23,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import divided_power as dp
 from . import f2core, homology
@@ -37,6 +37,32 @@ DEFAULT_MAX_BASIS = 200_000
 
 class ResourceLimitError(RuntimeError):
     """Raised when a computation would exceed the configured basis cap."""
+
+
+def cells(s: int, d: int) -> tuple[tuple[int, int], ...]:
+    """The bidegrees whose admissible bases a slice or an Ext dimension
+    at (s, d) reads: its own and the two that d maps into and out of."""
+    return (s - 1, d + 1), (s, d), (s + 1, d - 1)
+
+
+def guard(max_basis: Optional[int], words: Iterable[tuple[int, int]] = (),
+          monomials: Iterable[tuple[int, int]] = ()) -> None:
+    """Refuse a basis over max_basis before anything is enumerated: the
+    divided-power monomials at each (rank, degree) in monomials, then
+    the admissible words at each (s, d) in words.  None lifts the cap."""
+    if max_basis is None:
+        return
+    for s, d in sorted(set(monomials)):
+        # C(n, k) >= 2^k when n >= 2k, so a wide basis is over the cap
+        wide = min(s - 1, d) >= max_basis.bit_length()
+        size = f"more than {max_basis}" if wide else comb(d + s - 1, s - 1)
+        if wide or size > max_basis:
+            raise ResourceLimitError(f"monomial basis at rank {s}, degree {d} "
+                                     f"has {size} elements (cap {max_basis})")
+    for s, d in sorted(set(words)):
+        if la.admissible_count(s, d, max_basis) > max_basis:
+            raise ResourceLimitError(f"admissible basis at ({s}, {d}) has more "
+                                     f"than {max_basis} words")
 
 
 @functools.cache
@@ -191,21 +217,11 @@ def verify_detection(u: CatalogEntry, target: LambdaElement,
     )
 
 
-def _guard_basis(s: int, d: int, max_basis: Optional[int],
-                 hint: str = "; pass force to proceed") -> None:
-    size = comb(d + s - 1, s - 1)
-    if max_basis is not None and size > max_basis:
-        raise ResourceLimitError(
-            f"monomial basis at rank {s}, degree {d} has {size} elements "
-            f"(cap {max_basis}){hint}"
-        )
-
-
 def transfer_image_dim(s: int, d: int, max_basis: Optional[int] = DEFAULT_MAX_BASIS
                        ) -> tuple[int, list[LambdaElement]]:
     """Dimension of the transfer image inside the cohomology at (s, d),
     with spanning cycle representatives."""
-    _guard_basis(s, d, max_basis)
+    guard(max_basis, words=cells(s, d), monomials=[(s, d)])
     images = [psi(p) for p in dp.primitive_basis(s, d)]
     sl = homology.slice_at(s, d)
     span = sl.boundaries.copy()
@@ -218,6 +234,8 @@ def find_preimage(s: int, target: LambdaElement,
                   max_basis: Optional[int] = DEFAULT_MAX_BASIS) -> Optional[GammaElement]:
     """A primitive element whose image is homologous to the target cycle,
     or None if no such element exists."""
+    # each raw word is counted before normalize rewrites it
+    guard(max_basis, words=[c for w in target for c in cells(len(w), sum(w))])
     target = la.normalize(target)
     if not homology.is_cycle(target):
         raise homology.NotACycleError("target is not a cycle")
@@ -227,7 +245,7 @@ def find_preimage(s: int, target: LambdaElement,
     if homology.boundary_witness(target) is not None:
         return dp.ZERO
     _, d = la.bidegree(target)
-    _guard_basis(s, d, max_basis)
+    guard(max_basis, monomials=[(s, d)])
     prims = dp.primitive_basis(s, d)
     images = [psi(p) for p in prims]
     sl = homology.slice_at(s, d)

@@ -24,7 +24,7 @@ TIMEOUT_S = 600
 
 # input files written into the working directory; catalog entries are
 # read from the first tree's catalog_data
-CATALOG_INPUTS = ("u14", "u20", "u24", "h0")
+CATALOG_INPUTS = ("u14", "u20", "u24", "h0", "c0")
 MALFORMED = {
     "unclosed.f2elt": "L[1,2",
     "negative.f2elt": "L[3,-1]",
@@ -75,6 +75,8 @@ COMMANDS: list[list[str]] = [
     ["primitive-check", "--in", "u14_mutant.f2elt"],
     ["find-preimage", "--s", "5", "--in", "h0.f2elt"],
     ["find-preimage", "--s", "1", "--in", "h0.f2elt", "--format", "json"],
+    ["find-preimage", "--s", "3", "--in", "c0.f2elt"],
+    ["find-preimage", "--s", "3", "--in", "c0.f2elt", "--format", "json"],
     ["normalize", "--in", "h0.f2elt"],
     ["normalize", "--in", "chains.f2elt"],
     ["normalize", "--in", "chains.f2elt", "--format", "json"],
@@ -104,6 +106,7 @@ COMMANDS: list[list[str]] = [
     ["homology", "--s", "1", "--deg", "2", "--format", "xml"],
     ["basis", "--s", "7", "--deg", "40"],
     ["primitive-basis", "--rank", "7", "--deg", "40"],
+    ["transfer-image", "--s", "5", "--deg", "100"],
     ["basis", "--s", "2", "--deg", "3", "--force"],
 ]
 

@@ -470,3 +470,91 @@ class TestArgvFuzz:
                 contextlib.redirect_stderr(io.StringIO()):
             code = run(argv)
         assert code in (OK, FALSIFIED, USAGE), argv
+
+
+# one over-cap call per subcommand: its argv, and its input file's text
+OVER_CAP = {
+    "normalize": ([], "L[0,400000]"),
+    "diff": ([], "L[400000]"),
+    "basis": (["--s", "7", "--deg", "40"], None),
+    "homology": (["--s", "7", "--deg", "40"], None),
+    "sq0": ([], "L[0,400000]"),
+    "steenrod": (["--deg", "1"], "a(1000000000,0,0,0,0)"),
+    "primitive-check": ([], "a(1000000000,0,0,0,0)"),
+    "primitive-basis": (["--rank", "7", "--deg", "40"], None),
+    "psi": ([], "a(1000000000,0,0,0,0)"),
+    "verify": (["--class", "h0d0"], "a(60,0,0,0,0)"),
+    "transfer-image": (["--s", "5", "--deg", "100"], None),
+    "find-preimage": (["--s", "2"], "L[0,1000000000]"),
+}
+
+
+class TestOneGuard:
+    """Every subcommand refuses an oversized basis with one message; the
+    --force hint is added exactly where the command takes --force."""
+
+    def test_every_subcommand_is_covered(self):
+        assert sorted(OVER_CAP) == sorted(FLAGS)
+
+    @pytest.mark.parametrize("command", sorted(OVER_CAP))
+    def test_refusal_names_force_exactly_when_the_command_takes_it(
+            self, capture, tmp_path, command):
+        argv, text = OVER_CAP[command]
+        if text is not None:
+            argv = [*argv, "--in", write(tmp_path, "big.f2elt", text)]
+        start = time.perf_counter()
+        code, out, err = capture(command, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (USAGE, "")
+        assert err.startswith("resource limit: ") and err.count("\n") == 1
+        hinted = err.endswith("; pass --force to proceed\n")
+        assert hinted == ("--force" in FLAGS[command])
+        assert hinted or "force" not in err
+
+    @pytest.mark.parametrize("argv, text, bidegree", [
+        (["transfer-image", "--s", "1", "--deg", "1000000000"], None, "(2, 999999999)"),
+        (["find-preimage", "--s", "1"], "L[1000000000]", "(2, 999999999)"),
+        (["find-preimage", "--s", "2"], "L[0,1000000000]", "(2, 1000000000)"),
+        (["verify", "--class", "h0d0"], "a(0,0,0,0,1000000000) + a(14,0,0,0,0)",
+         "(5, 1000000000)"),
+    ], ids=["transfer-image", "find-preimage-1", "find-preimage-2", "verify-mixed"])
+    def test_huge_cell_refused_quickly(self, capture, tmp_path, argv, text, bidegree):
+        # one monomial, or one word, but a slice there is far over the
+        # cap; without the guard each of these runs for minutes
+        if text is not None:
+            argv = [*argv, "--in", write(tmp_path, "big.f2elt", text)]
+        start = time.perf_counter()
+        code, out, err = capture(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (USAGE, "")
+        assert err.startswith(f"resource limit: admissible basis at {bidegree} ")
+
+    def test_wide_monomial_basis_refused_quickly(self, capture):
+        start = time.perf_counter()
+        code, out, err = capture("primitive-basis", "--rank", "1000000000",
+                                 "--deg", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (USAGE, "")
+        assert err == ("resource limit: monomial basis at rank 1000000000, degree "
+                       "1000000000 has more than 200000 elements (cap 200000); "
+                       "pass --force to proceed\n")
+
+    @pytest.mark.parametrize("argv, code, want", [
+        (["primitive-check"], FALSIFIED, "not primitive\n"),
+        (["steenrod", "--deg", "1"], OK, "a(999999999)\n"),
+        (["psi"], OK, "L[1000000000]\n"),
+    ], ids=["primitive-check", "steenrod", "psi"])
+    def test_rank_one_huge_exponent_answers_quickly(self, capture, tmp_path, argv,
+                                                    code, want):
+        path = write(tmp_path, "a.f2elt", "a(1000000000)")
+        start = time.perf_counter()
+        got, out, err = capture(*argv, "--in", path)
+        assert time.perf_counter() - start < 1.0
+        assert got == code
+        assert out.endswith(want) and err == ""
+
+    def test_rank_one_huge_primitive_basis_answers_quickly(self, capture):
+        start = time.perf_counter()
+        got = capture("primitive-basis", "--rank", "1", "--deg", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert got == (OK, "", "count = 0\n")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from math import comb
 
 import pytest
@@ -174,6 +175,25 @@ class TestSqRight:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             sq_right(element((2,)), -1)
+
+    def test_rank_one_against_the_defining_formula(self):
+        # a^(t) Sq^i = C(t - i, i) a^(t - i), and zero once 2i > t
+        for t in range(200):
+            for i in range(t + 2):
+                odd = 2 * i <= t and comb(t - i, i) % 2
+                assert sq_right(element((t,)), i) == (element((t - i,)) if odd
+                                                      else ZERO), (t, i)
+
+    def test_huge_last_factor_folds_quickly(self):
+        # the last factor takes the remainder in one parity test, not a
+        # walk over the t // 2 squares it might absorb
+        t = 10**9
+        start = time.perf_counter()
+        assert sq_right(element((t,)), 1) == element((t - 1,))
+        assert sq_right(element((1, t)), 2) == element((1, t - 2))
+        assert not is_primitive(element((t,)))
+        assert primitive_basis(1, t) == []
+        assert time.perf_counter() - start < 1.0
 
 
 class TestGammaBasis:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import time
+from math import comb
 
 import pytest
 
@@ -11,7 +13,9 @@ from ltk.catalog import CatalogEntry
 from ltk.transfer import (
     DEFAULT_MAX_BASIS,
     ResourceLimitError,
+    cells,
     find_preimage,
+    guard,
     psi,
     sq0_family,
     transfer_image_dim,
@@ -280,3 +284,69 @@ class TestFindPreimage:
                 break
         assert rep is not None
         assert find_preimage(5, rep) is None
+
+
+class TestGuard:
+    def test_cells_of_a_slice(self):
+        assert cells(5, 14) == ((4, 15), (5, 14), (6, 13))
+
+    def test_monomials_are_checked_before_words(self):
+        # (7, 40) is over the cap both as monomials and as admissible words
+        with pytest.raises(ResourceLimitError) as err:
+            guard(DEFAULT_MAX_BASIS, words=[(7, 40)], monomials=[(7, 40)])
+        assert str(err.value) == ("monomial basis at rank 7, degree 40 has "
+                                  "9366819 elements (cap 200000)")
+        with pytest.raises(ResourceLimitError) as err:
+            guard(DEFAULT_MAX_BASIS, words=[(7, 40)])
+        assert str(err.value) == "admissible basis at (7, 40) has more than 200000 words"
+
+    def test_none_lifts_the_cap(self):
+        guard(None, words=[(7, 40)], monomials=[(7, 40)])
+
+    def test_refuses_exactly_the_counts_over_the_cap(self):
+        # the shortcut for wide monomial bases agrees with the count itself
+        for cap in (0, 1, 5, 17, 100):
+            for s in range(1, 12):
+                for d in range(12):
+                    over = comb(d + s - 1, s - 1) > cap
+                    try:
+                        guard(cap, monomials=[(s, d)])
+                    except ResourceLimitError:
+                        assert over, (cap, s, d)
+                    else:
+                        assert not over, (cap, s, d)
+
+    def test_wide_monomial_basis_refused_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            guard(DEFAULT_MAX_BASIS, monomials=[(10**9, 10**9)])
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == ("monomial basis at rank 1000000000, degree "
+                                  "1000000000 has more than 200000 elements "
+                                  "(cap 200000)")
+
+    @pytest.mark.parametrize("call", [
+        lambda: transfer_image_dim(1, 10**9),
+        lambda: find_preimage(1, la.element((10**9,))),
+        lambda: find_preimage(2, la.element((0, 10**9))),
+    ], ids=["transfer_image_dim", "find_preimage", "find_preimage_inadmissible"])
+    def test_library_refuses_a_huge_admissible_basis_quickly(self, call):
+        # each cell is one monomial, but a slice there holds more than
+        # 200,000 admissible words; without the guard each runs for minutes
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            call()
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value).startswith("admissible basis at (2, ")
+        assert "force" not in str(err.value)
+
+    def test_trivial_class_answered_before_the_monomial_count(self):
+        # d(L[2]) = L[1,0] is a boundary at (2, 1); the zero element
+        # answers it even with a cap that no monomial basis passes
+        assert find_preimage(2, la.element((1, 0)), max_basis=1) == dp.ZERO
+        # h1^2 is not a boundary: its cells pass a cap of 2, its three
+        # monomials at (2, 2) do not
+        h1 = catalog.entry("h1").element
+        with pytest.raises(ResourceLimitError) as err:
+            find_preimage(2, la.product(h1, h1), max_basis=2)
+        assert str(err.value).startswith("monomial basis at rank 2, degree 2 has 3 ")

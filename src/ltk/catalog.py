@@ -37,12 +37,6 @@ _INDEX: dict[str, tuple[str, int, int]] = {
     "u24": (GAMMA, 5, 24),
 }
 
-# names whose payloads represent cohomology classes (and so must be cycles)
-EXT_CLASS_NAMES = (
-    "h0", "h1", "h2", "h3", "h4", "c0", "d0", "e0_paper", "e0_lin", "g1",
-)
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str

@@ -55,15 +55,6 @@ def element(*monomials: Iterable[int]) -> GammaElement:
     return frozenset(acc)
 
 
-def rank_of(e: GammaElement) -> Optional[int]:
-    ranks = {len(m) for m in e}
-    if not ranks:
-        return None
-    if len(ranks) > 1:
-        raise ValueError("element has mixed rank")
-    return ranks.pop()
-
-
 def degree_of(e: GammaElement) -> Optional[int]:
     degs = {sum(m) for m in e}
     if not degs:

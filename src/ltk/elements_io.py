@@ -194,13 +194,6 @@ class ElementDocument:
     rank: Optional[int]
     element: frozenset
 
-    @property
-    def body(self) -> str:
-        """The canonical text of the element."""
-        if self.kind == "lambda":
-            return serialize_lambda(self.element)
-        return serialize_gamma(self.element)
-
 
 def parse_document(text: str, kind: Optional[str] = None,
                    rank: Optional[int] = None) -> ElementDocument:

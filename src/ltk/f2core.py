@@ -1,9 +1,10 @@
 """Exact mod-2 scalar arithmetic and GF(2) linear algebra.
 
-Vectors and matrices are bit-packed into Python ints, so row operations
-are single XORs regardless of width.  `Span` is the one elimination
-routine: rank, kernel and solve all read off its echelon rows and their
-provenance.
+Rows are bit-packed into Python ints, so row operations are single XORs
+regardless of width.  `Span` eliminates with provenance: kernels and
+solutions read off its echelon rows.  homology.rank_out eliminates for
+ranks alone, without provenance.  BitVector, BitMatrix, rank and solve
+have no caller in the package; perfbench/spans.py still times them.
 """
 
 from __future__ import annotations

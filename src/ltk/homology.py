@@ -4,10 +4,10 @@ Each bidegree slice carries the admissible basis and the echelon span of
 the boundaries in it, whose provenance records which words of the
 previous slice produce each boundary.  Class-level questions (is this a
 boundary, are these two cycles homologous) reduce to a reduction against
-such a span.  boundary_witness places each word of its element in the
-sorted basis with bisect, so one question about a few words builds no
-index over a basis of thousands.  Witnesses are always re-verified by
-applying the differential before they are returned.
+such a span.  row places each word of an element in the sorted basis
+with bisect, so one question about a few words builds no index over a
+basis of thousands.  Witnesses are always re-verified by applying the
+differential before they are returned.
 
 Ext dimensions need ranks only, and take a path of their own.
 lambda_algebra.differential_rows turns each basis word straight into its
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from . import f2core, lambda_algebra as la
 from .lambda_algebra import LambdaElement, LambdaMonomial
@@ -44,23 +44,20 @@ class BidegreeSlice:
     cached and shared, so add nothing to boundaries; copy it instead.
     """
 
-    s: int
-    d: int
     basis: tuple[LambdaMonomial, ...]
     prev_basis: tuple[LambdaMonomial, ...]
     next_basis: tuple[LambdaMonomial, ...]
     boundaries: f2core.Span
 
 
-def bit_rows(elements: Iterable[LambdaElement],
-             basis: tuple[LambdaMonomial, ...]) -> Iterator[int]:
-    """Each element as a bit-packed row, bit i standing for basis[i]."""
-    index = {w: i for i, w in enumerate(basis)}
-    for e in elements:
-        bits = 0
-        for w in e:
-            bits |= 1 << index[w]
-        yield bits
+def row(e: LambdaElement, basis: tuple[LambdaMonomial, ...]) -> int:
+    """e as a bit-packed row, bit i standing for basis[i].  The basis is
+    sorted and holds every word of e, so bisect places each word; an
+    index over the whole basis would cost more than the row."""
+    bits = 0
+    for w in e:
+        bits |= 1 << bisect_left(basis, w)
+    return bits
 
 
 # rank of the differential out of (s, d), into (s+1, d-1); only ints are
@@ -101,8 +98,6 @@ def slice_at(s: int, d: int) -> BidegreeSlice:
     if s >= 1:
         _RANK_OUT[s - 1, d + 1] = len(boundaries)
     return BidegreeSlice(
-        s=s,
-        d=d,
         basis=basis,
         prev_basis=prev_basis,
         next_basis=la.admissible_basis(s + 1, d - 1) if d >= 1 else (),
@@ -135,22 +130,13 @@ def boundary_witness(r: LambdaElement) -> Optional[LambdaElement]:
     if s == 0:
         return None
     sl = slice_at(s, d)
-    # the basis is sorted, so bisect places each word of r; an index over
-    # the whole basis would cost more than the row
-    row = 0
-    for w in r:
-        row |= 1 << bisect_left(sl.basis, w)
-    residual, x = sl.boundaries.reduce(row)
+    residual, x = sl.boundaries.reduce(row(r, sl.basis))
     if residual:
         return None
     witness = frozenset(sl.prev_basis[i] for i in f2core.set_bits(x))
     if la.differential(witness) != r:
         raise AssertionError("witness failed re-verification")
     return witness
-
-
-def is_boundary(r: LambdaElement) -> bool:
-    return boundary_witness(r) is not None
 
 
 @functools.cache

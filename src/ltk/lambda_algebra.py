@@ -69,10 +69,6 @@ class Bidegree(NamedTuple):
     s: int  # homological length
     d: int  # internal degree
 
-    @property
-    def topological(self) -> int:
-        return self.s + self.d
-
 
 def element(*words: Iterable[int]) -> LambdaElement:
     """Build an element from words; repeated words cancel mod 2."""
@@ -123,13 +119,6 @@ def _pair_expansion(k: int, m: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def adem_expand_pair(k: int, m: int) -> LambdaElement:
-    """Rewrite the inadmissible two-letter word (k, m), m >= 2k + 1."""
-    if m < 2 * k + 1:
-        raise ValueError(f"pair ({k}, {m}) is admissible; nothing to expand")
-    return frozenset(_pair_expansion(k, m))
-
-
 def _first_bad(w: LambdaMonomial) -> Optional[int]:
     for i in range(len(w) - 1):
         if w[i + 1] > 2 * w[i]:
@@ -144,36 +133,24 @@ def _last_bad(w: LambdaMonomial) -> Optional[int]:
     return None
 
 
-def _rewrite(stack: _Stack, done: set[LambdaMonomial], last: int,
-             rightmost: bool = False) -> None:
+def _rewrite(stack: _Stack, done: set[LambdaMonomial], last: int) -> None:
     """Rewrite every (word, i, f) entry of the stack depth first, toggling
     the admissible words it reaches into done.
 
     Every word on the stack has last index `last`, and so has every word
-    a rewrite makes from it.  Pair i is the entry's violation to rewrite.
-    Each word that a rewrite makes is classified as it is made: an
-    admissible one toggles into done, any other is pushed with its own
-    violation.  Unless rightmost, that violation is the leftmost one, and
-    every pair from i + 2 up to f - 1 is known to be admissible, so the
-    scan for the next violation right of i + 1 resumes at f (see the
-    module docstring); f at or past last means there is none.  If
-    rightmost, f is ignored and each new word is scanned for its
-    rightmost violation.
+    a rewrite makes from it.  Pair i is the entry's violation to rewrite,
+    its leftmost one.  Each word that a rewrite makes is classified as it
+    is made: an admissible one toggles into done, any other is pushed
+    with its own leftmost violation.  Every pair from i + 2 up to f - 1
+    is known to be admissible, so the scan for the next violation right
+    of i + 1 resumes at f (see the module docstring); f at or past last
+    means there is none.
     """
     push = stack.append
     while stack:
         w, i, f = stack.pop()
         head, tail = w[:i], w[i + 2:]
         pairs = _pair_expansion(w[i], w[i + 1])
-        if rightmost:
-            for pair in pairs:
-                word = head + pair + tail
-                j = _last_bad(word)
-                if j is None:
-                    done ^= {word}
-                else:
-                    push((word, j, 0))
-            continue
         while f < last and w[f + 1] <= 2 * w[f]:
             f += 1
         # f is the first violation right of pair i + 1, or last if none
@@ -197,26 +174,36 @@ def _rewrite(stack: _Stack, done: set[LambdaMonomial], last: int,
 def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
     """Admissible normal form of e under the defining relations.
 
-    Each word is classified by its violation, and the rest is rewritten
-    depth first by _rewrite, one word length at a time.  The strategy
-    picks which violation: "leftmost", the canonical order, or
-    "rightmost".  Both reach the same normal form (this is exercised by
-    the test suite).
+    The strategy picks which violation each rewrite takes.  "leftmost",
+    the canonical order, classifies each word by its leftmost violation
+    and hands the rest to _rewrite, one word length at a time.
+    "rightmost" rewrites the rightmost violation of each word depth
+    first, scanning every word it makes; both reach the same normal form
+    (see the module docstring).
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    rightmost = strategy == "rightmost"
-    bad = _last_bad if rightmost else _first_bad
     done: set[LambdaMonomial] = set()
+    if strategy == "rightmost":
+        words = list(e)
+        while words:
+            w = words.pop()
+            i = _last_bad(w)
+            if i is None:
+                done ^= {w}
+            else:
+                head, tail = w[:i], w[i + 2:]
+                words += [head + pair + tail for pair in _pair_expansion(w[i], w[i + 1])]
+        return frozenset(done)
     stacks: defaultdict[int, _Stack] = defaultdict(list)
     for w in e:
-        i = bad(w)
+        i = _first_bad(w)
         if i is None:
             done ^= {w}
         else:
             stacks[len(w) - 1].append((w, i, i + 2))
     for last, stack in stacks.items():
-        _rewrite(stack, done, last, rightmost)
+        _rewrite(stack, done, last)
     return frozenset(done)
 
 

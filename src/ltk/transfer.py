@@ -20,7 +20,6 @@ re-checked witnesses.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional
@@ -49,17 +48,27 @@ def guard(max_basis: Optional[int], words: Iterable[tuple[int, int]] = (),
           monomials: Iterable[tuple[int, int]] = ()) -> None:
     """Refuse a basis over max_basis before anything is enumerated: the
     divided-power monomials at each (rank, degree) in monomials, then
-    the admissible words at each (s, d) in words.  None lifts the cap."""
+    the admissible words at each (s, d) in words.  A cell with a
+    negative component, or of rank below 1, is empty.  Words longer than
+    the larger of max_basis and DEFAULT_MAX_BASIS are refused however
+    few they are: their letters fill memory as words do.  None lifts the
+    cap."""
     if max_basis is None:
         return
     for s, d in sorted(set(monomials)):
+        if s < 1 or d < 0:
+            continue
         # C(n, k) >= 2^k when n >= 2k, so a wide basis is over the cap
         wide = min(s - 1, d) >= max_basis.bit_length()
         size = f"more than {max_basis}" if wide else comb(d + s - 1, s - 1)
         if wide or size > max_basis:
             raise ResourceLimitError(f"monomial basis at rank {s}, degree {d} "
                                      f"has {size} elements (cap {max_basis})")
+    letters = max(max_basis, DEFAULT_MAX_BASIS)
     for s, d in sorted(set(words)):
+        if d >= 0 and s > letters:
+            raise ResourceLimitError(f"admissible words at ({s}, {d}) have {s} "
+                                     f"letters (cap {letters})")
         if la.admissible_count(s, d, max_basis) > max_basis:
             raise ResourceLimitError(f"admissible basis at ({s}, {d}) has more "
                                      f"than {max_basis} words")
@@ -124,10 +133,6 @@ class DetectionReport:
     expected_dim: Optional[int]
     verdict: str  # "verified" | "falsified" | "trivial"
     failed_checks: tuple[str, ...]
-
-    @property
-    def verified(self) -> bool:
-        return self.verdict == "verified"
 
 
 def verify_detection(u: CatalogEntry, target: LambdaElement,
@@ -225,8 +230,7 @@ def transfer_image_dim(s: int, d: int, max_basis: Optional[int] = DEFAULT_MAX_BA
     images = [psi(p) for p in dp.primitive_basis(s, d)]
     sl = homology.slice_at(s, d)
     span = sl.boundaries.copy()
-    reps = [image for image, row in zip(images, homology.bit_rows(images, sl.basis))
-            if span.add(row)]
+    reps = [image for image in images if span.add(homology.row(image, sl.basis))]
     return len(reps), reps
 
 
@@ -251,10 +255,11 @@ def find_preimage(s: int, target: LambdaElement,
     sl = homology.slice_at(s, d)
     # rows 0 .. len(prims)-1 are the primitive images, the rest are boundaries
     span = f2core.Span()
-    for row in itertools.chain(homology.bit_rows(images, sl.basis),
-                               la.differential_rows(sl.prev_basis, sl.basis)):
+    for image in images:
+        span.add(homology.row(image, sl.basis))
+    for row in la.differential_rows(sl.prev_basis, sl.basis):
         span.add(row)
-    residual, x = span.reduce(next(homology.bit_rows([target], sl.basis)))
+    residual, x = span.reduce(homology.row(target, sl.basis))
     if residual:
         return None
     # the boundary rows' bits of x say which boundary moves the images to

@@ -25,6 +25,10 @@ TIMEOUT_S = 600
 # input files written into the working directory; catalog entries are
 # read from the first tree's catalog_data
 CATALOG_INPUTS = ("u14", "u20", "u24", "h0", "c0")
+# input file -> catalog entry and the letters appended to each of its
+# words: the targets h0d0 and h1h4c0 as raw concatenations, which
+# find-preimage normalizes
+PRODUCTS = {"d0h0.f2elt": ("d0", ",0"), "c0h4h1.f2elt": ("c0", ",15,1")}
 MALFORMED = {
     "unclosed.f2elt": "L[1,2",
     "negative.f2elt": "L[3,-1]",
@@ -77,6 +81,8 @@ COMMANDS: list[list[str]] = [
     ["find-preimage", "--s", "1", "--in", "h0.f2elt", "--format", "json"],
     ["find-preimage", "--s", "3", "--in", "c0.f2elt"],
     ["find-preimage", "--s", "3", "--in", "c0.f2elt", "--format", "json"],
+    *[["find-preimage", "--s", "5", "--in", name, *fmt]
+      for name in PRODUCTS for fmt in ([], ["--format", "json"])],
     ["normalize", "--in", "h0.f2elt"],
     ["normalize", "--in", "chains.f2elt"],
     ["normalize", "--in", "chains.f2elt", "--format", "json"],
@@ -112,18 +118,18 @@ COMMANDS: list[list[str]] = [
 
 
 def write_inputs(tree: str, workdir: str) -> None:
-    for name in CATALOG_INPUTS:
+    def catalog_text(name: str) -> str:
         path = os.path.join(tree, "ltk", "catalog_data", f"{name}.f2elt")
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        with open(os.path.join(workdir, f"{name}.f2elt"), "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if name == "u14":
-            with open(os.path.join(workdir, "u14_mutant.f2elt"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(_mutant(text))
-    for name, text in (*MALFORMED.items(), ("chains.f2elt", CHAINS),
-                       ("admissible.f2elt", ADMISSIBLE), ("blend.f2elt", BLEND)):
+            return fh.read()
+
+    files = {f"{name}.f2elt": catalog_text(name) for name in CATALOG_INPUTS}
+    files["u14_mutant.f2elt"] = _mutant(files["u14.f2elt"])
+    for file, (name, letters) in PRODUCTS.items():
+        files[file] = catalog_text(name).replace("]", letters + "]")
+    files.update(MALFORMED, **{"chains.f2elt": CHAINS, "admissible.f2elt": ADMISSIBLE,
+                               "blend.f2elt": BLEND})
+    for name, text in files.items():
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
 

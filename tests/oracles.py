@@ -11,6 +11,12 @@ import functools
 
 PASCAL_LIMIT = 300
 
+# catalog names whose payloads represent cohomology classes (and so must
+# be cycles)
+EXT_CLASS_NAMES = (
+    "h0", "h1", "h2", "h3", "h4", "c0", "d0", "e0_paper", "e0_lin", "g1",
+)
+
 
 @functools.lru_cache(maxsize=1)
 def pascal_mod2_table(limit: int = PASCAL_LIMIT) -> list[list[int]]:

@@ -558,3 +558,35 @@ class TestOneGuard:
         got = capture("primitive-basis", "--rank", "1", "--deg", "1000000000")
         assert time.perf_counter() - start < 1.0
         assert got == (OK, "", "count = 0\n")
+
+    @pytest.mark.parametrize("argv, refused", [
+        (["basis", "--s", "10000000", "--deg", "0"], "(10000000, 0) have 10000000"),
+        (["homology", "--s", "10000000", "--deg", "1"], "(9999999, 2) have 9999999"),
+    ], ids=["basis", "homology"])
+    def test_word_longer_than_the_cap_refused_quickly(self, capture, argv, refused):
+        # one word, but its letters alone take hundreds of megabytes
+        start = time.perf_counter()
+        got = capture(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert got == (USAGE, "", f"resource limit: admissible words at {refused} "
+                                  "letters (cap 200000); pass --force to proceed\n")
+
+    def test_word_as_long_as_the_cap_answered(self, capture):
+        got = capture("basis", "--s", "200000", "--deg", "0")
+        assert got == (OK, "L[" + ",".join(["0"] * 200000) + "]\n", "count = 1\n")
+
+    @pytest.mark.parametrize("argv, text, error", [
+        (["primitive-basis", "--rank", "0", "--deg", "3"], None, "rank must be at least 1"),
+        (["primitive-basis", "--rank", "1", "--deg", "-5"], None,
+         "degree must be non-negative"),
+        (["transfer-image", "--s", "0", "--deg", "0"], None, "rank must be at least 1"),
+        (["transfer-image", "--s", "-1", "--deg", "3"], None, "rank must be at least 1"),
+        (["find-preimage", "--s", "0"], "L[]", "rank must be at least 1"),
+    ], ids=["primitive-basis-rank", "primitive-basis-deg", "transfer-image-s0",
+            "transfer-image-negative", "find-preimage"])
+    def test_empty_monomial_cell_refused_by_the_command(self, capture, tmp_path, argv,
+                                                        text, error):
+        # the guard counts the cell as empty; the basis itself names the fault
+        if text is not None:
+            argv = [*argv, "--in", write(tmp_path, "unit.f2elt", text)]
+        assert capture(*argv) == (USAGE, "", f"error: {error}\n")

@@ -17,7 +17,6 @@ from ltk.divided_power import (
     gamma_basis,
     is_primitive,
     primitive_basis,
-    rank_of,
     sq_right,
 )
 
@@ -46,7 +45,6 @@ class TestElementHelpers:
     def test_cancellation_and_rank(self):
         e = element((1, 2), (1, 2), (0, 3))
         assert e == element((0, 3))
-        assert rank_of(e) == 2
         assert degree_of(e) == 3
 
     def test_mixed_rank_rejected(self):
@@ -54,7 +52,6 @@ class TestElementHelpers:
             element((1, 2), (1, 2, 3))
 
     def test_zero_has_no_rank(self):
-        assert rank_of(ZERO) is None
         assert degree_of(ZERO) is None
 
 

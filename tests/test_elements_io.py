@@ -273,7 +273,7 @@ class TestParseDocument:
 
     def test_body_is_canonical(self):
         doc = parse_document("L[3,3] + L[1,5]")
-        assert doc.body == "L[1,5] + L[3,3]"
+        assert serialize_lambda(doc.element) == "L[1,5] + L[3,3]"
 
     def test_mixed_arity_rejected(self):
         with pytest.raises(ParseError):

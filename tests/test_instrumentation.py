@@ -1,0 +1,43 @@
+"""The benchmark's tracer, perfbench/spans.py, wraps package attributes
+by name and reads fields of their results.  These tests pin what it
+needs, so that removing code from the package cannot silently break
+`perfbench/run.py --trace 1`.  They read perfbench/ and change nothing
+there: the tracer is loaded, never installed."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import ltk
+import ltk.cli  # noqa: F401  (the package does not import its front end)
+from ltk import homology
+from ltk import lambda_algebra as la
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(spans):
+    for module_name, attrs in spans.TRACED.items():
+        for attr in attrs:
+            target = getattr(ltk, module_name)
+            for part in attr.split("."):  # "Class.method" names a method
+                target = getattr(target, part)
+            assert callable(target), f"{module_name}.{attr}"
+
+
+def test_slice_counter_reads_a_slice(spans):
+    counter = spans.COUNTERS["homology.slice_at"]
+    counts = dict(counter((3, 4), homology.slice_at(3, 4), set()))
+    words = sum(len(la.admissible_basis(s, d)) for s, d in ((2, 5), (3, 4), (4, 3)))
+    assert counts == {"homology.slices_built": 1, "homology.slice_words": words}

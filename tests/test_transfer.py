@@ -22,7 +22,7 @@ from ltk.transfer import (
     verify_detection,
 )
 
-from .oracles import kernel_elements, psi_rank2_oracle, sq_right_dual_table
+from .oracles import EXT_CLASS_NAMES, kernel_elements, psi_rank2_oracle, sq_right_dual_table
 
 
 def gamma_entry(name: str, element: frozenset, s: int, d: int) -> CatalogEntry:
@@ -113,7 +113,7 @@ class TestCatalog:
             assert e.element, name
 
     def test_ext_class_entries_are_cycles(self):
-        for name in catalog.EXT_CLASS_NAMES:
+        for name in EXT_CLASS_NAMES:
             assert homology.is_cycle(catalog.entry(name).element), name
 
     def test_two_stored_degree17_representatives_are_homologous(self):
@@ -144,7 +144,7 @@ class TestVerifyDetection:
         u14 = catalog.entry("u14")
         target = la.product(catalog.entry("d0").element, catalog.entry("h0").element)
         report = verify_detection(u14, target, expected_dim=1, target_name="h0d0")
-        assert report.verified
+        assert report.verdict == "verified"
         assert report.failed_checks == ()
         assert report.primitive_holds
         assert report.cycle_ok
@@ -315,6 +315,21 @@ class TestGuard:
                         assert over, (cap, s, d)
                     else:
                         assert not over, (cap, s, d)
+
+    def test_empty_cells_pass(self):
+        guard(0, words=[(-1, 3), (10**7, -1)], monomials=[(0, 3), (1, -5), (-1, 3)])
+
+    def test_words_longer_than_the_cap_refused(self):
+        # a cap below the default still lets words of the default length pass
+        guard(1, words=[(DEFAULT_MAX_BASIS, 0)])
+        guard(DEFAULT_MAX_BASIS + 1, words=[(DEFAULT_MAX_BASIS + 1, 0)])
+        for cap in (1, DEFAULT_MAX_BASIS):
+            with pytest.raises(ResourceLimitError) as err:
+                guard(cap, words=[(DEFAULT_MAX_BASIS + 1, 0)])
+            assert str(err.value) == ("admissible words at (200001, 0) have 200001 "
+                                      "letters (cap 200000)")
+        with pytest.raises(ResourceLimitError):
+            guard(DEFAULT_MAX_BASIS + 1, words=[(DEFAULT_MAX_BASIS + 2, 0)])
 
     def test_wide_monomial_basis_refused_quickly(self):
         start = time.perf_counter()

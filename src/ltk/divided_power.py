@@ -188,23 +188,22 @@ def primitive_basis(s: int, d: int) -> list[GammaElement]:
     """A basis of the joint kernel of the generator squares at (s, d)."""
     basis = gamma_basis(s, d)
     squares = _generator_squares(d)
-    # the images under all the squares sit side by side in one row: each
-    # codomain word's bit, offset by the widths of the codomains before it
-    bits, width = [], 0
-    for i in squares:
-        codomain = gamma_basis(s, d - i)
-        bits.append({w: width + j for j, w in enumerate(codomain)})
-        width += len(codomain)
+    # the images under all the squares sit side by side in one row, each
+    # image monomial numbered as it is first met: images under distinct
+    # squares have distinct degrees, so one numbering serves them all
+    column: dict[GammaMonomial, int] = {}
     span = f2core.Span()
-    for m in basis:
-        row = 0
-        for bit, image in zip(bits, _sq_fold(m, squares)):
-            for w in image:
-                row |= 1 << bit[w]
-        span.add(row)
     out = []
-    for v in span.kernel:
-        candidate = frozenset(basis[j] for j in f2core.set_bits(v))
+    for j, m in enumerate(basis):
+        row = 0
+        for image in _sq_fold(m, squares):
+            for w in image:
+                row |= 1 << column.setdefault(w, len(column))
+        residual, v = span.add(row, 1 << j)
+        if residual:
+            continue
+        # the tag of a dependent row is a kernel vector
+        candidate = frozenset(basis[k] for k in f2core.set_bits(v))
         evidence = is_primitive(candidate)
         if not evidence:
             raise AssertionError("kernel vector failed the primitivity re-check")

@@ -1,16 +1,19 @@
 """Exact mod-2 scalar arithmetic and GF(2) linear algebra.
 
 Rows are bit-packed into Python ints, so row operations are single XORs
-regardless of width.  `Span` eliminates with provenance: kernels and
-solutions read off its echelon rows.  homology.rank_out eliminates for
-ranks alone, without provenance.  BitVector, BitMatrix, rank and solve
-have no caller in the package; perfbench/spans.py still times them.
+regardless of width.  `Span` eliminates rows that carry caller-chosen
+tags, XORed along each reduction.  Which rows are independent, the tag
+of each dependent row and the tag of any vector inside the span depend
+neither on the pivots stored nor on the column order, so kernels and
+solutions read off them are canonical.  homology.rank_out eliminates for
+ranks alone, without tags.  BitMatrix, rank and solve have no caller in
+the package; they stay only because perfbench/spans.py times them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 
 def binom_mod2(n: int, k: int) -> int:
@@ -35,48 +38,6 @@ def set_bits(v: int) -> Iterator[int]:
 
 
 @dataclass(frozen=True)
-class BitVector:
-    """A vector over GF(2), coordinates packed little-endian into an int."""
-
-    length: int
-    bits: int = 0
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("negative length")
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("payload has bits outside the declared length")
-
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> "BitVector":
-        bits = 0
-        for i in support:
-            if not 0 <= i < length:
-                raise IndexError(f"coordinate {i} out of range for length {length}")
-            bits ^= 1 << i
-        return cls(length, bits)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(f"coordinate {i} out of range for length {self.length}")
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVector(self.length, self.bits ^ other.bits)
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
-
-    def weight(self) -> int:
-        return bin(self.bits).count("1")
-
-
-@dataclass(frozen=True)
 class BitMatrix:
     """A dense matrix over GF(2); each row is a bit-packed int."""
 
@@ -91,11 +52,6 @@ class BitMatrix:
             if r < 0 or r >> self.cols:
                 raise ValueError("row has bits outside the declared width")
 
-    @classmethod
-    def from_rows(cls, cols: int, rows: Iterable[int]) -> "BitMatrix":
-        data = tuple(rows)
-        return cls(len(data), cols, data)
-
     def transpose(self) -> "BitMatrix":
         cols = []
         for j in range(self.cols):
@@ -107,52 +63,51 @@ class BitMatrix:
 
 
 class Span:
-    """Incrementally maintained row span with provenance.
+    """Incrementally maintained row span whose rows carry tags.
 
-    Rows are bit-packed ints, numbered in the order they are added.  Each
-    stored row is reduced to a distinct top bit and kept with its
-    provenance: the mask of added rows that sum to it.  A row is
-    independent iff it is not a sum of earlier rows, so the independent
-    rows are the lexicographically first ones, the pivots that reduced
-    row echelon form picks.
+    Rows are bit-packed ints, each added with an int tag the caller
+    chooses (1 << i for the i-th row, say).  Each stored row is reduced
+    to a distinct top bit, and a reduction XORs tags as it XORs rows, so
+    a stored row and its tag are the sums of the rows and of the tags of
+    some independent added rows.  A row is independent iff it is not a
+    sum of earlier rows.  So none of these depends on the pivots stored
+    or on the column order:
+
+    - which rows are independent (the pivots that reduced row echelon
+      form picks);
+    - the tag add returns for a dependent row;
+    - the tag reduce returns for a vector inside the span.
+
+    The tag of a vector outside the span depends on both; read none.
     """
 
     def __init__(self):
-        self._pivots: dict[int, tuple[int, int]] = {}  # top bit -> (row, provenance)
-        self._added = 0
-        # provenance of each dependent add, in order: a kernel basis of the
-        # map sending added row i to its bits
-        self.kernel: list[int] = []
+        self._pivots: dict[int, tuple[int, int]] = {}  # top bit -> (row, tag)
 
-    def reduce(self, bits: int) -> tuple[int, int]:
-        """(residual, provenance) with bits = residual + the sum of the
-        added rows in provenance; residual is 0 iff bits is in the span."""
-        provenance = 0
+    def reduce(self, bits: int, tag: int = 0) -> tuple[int, int]:
+        """(residual, tag): bits reduced against the stored rows, and tag
+        XORed with the tags of the rows used; residual is 0 iff bits is
+        in the span."""
         while bits:
             pivot = self._pivots.get(bits.bit_length() - 1)
             if pivot is None:
                 break
             row, origin = pivot
             bits ^= row
-            provenance ^= origin
-        return bits, provenance
+            tag ^= origin
+        return bits, tag
 
-    def add(self, bits: int) -> bool:
-        """Add the next row; True iff it was independent of the span."""
-        residual, provenance = self.reduce(bits)
-        provenance ^= 1 << self._added
-        self._added += 1
+    def add(self, bits: int, tag: int = 0) -> tuple[int, int]:
+        """Add a row with its tag and return what reduce returns: the
+        residual is nonzero iff the row was independent of the span."""
+        residual, tag = self.reduce(bits, tag)
         if residual:
-            self._pivots[residual.bit_length() - 1] = (residual, provenance)
-            return True
-        self.kernel.append(provenance)
-        return False
+            self._pivots[residual.bit_length() - 1] = (residual, tag)
+        return residual, tag
 
     def copy(self) -> "Span":
         other = Span()
         other._pivots = dict(self._pivots)
-        other._added = self._added
-        other.kernel = list(self.kernel)
         return other
 
     def __len__(self) -> int:
@@ -167,16 +122,16 @@ def rank(m: BitMatrix) -> int:
     return len(span)
 
 
-def solve(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
+def solve(m: BitMatrix, b: int) -> Optional[int]:
     """Some x with Mx = b, or None if the system is unsolvable.
 
     x is supported on the pivot columns, as back-substitution from
     reduced row echelon form gives it.
     """
-    if b.length != m.rows:
+    if b >> m.rows:
         raise ValueError("dimension mismatch")
     span = Span()
-    for column in m.transpose().data:
-        span.add(column)
-    residual, x = span.reduce(b.bits)
-    return None if residual else BitVector(m.cols, x)
+    for j, column in enumerate(m.transpose().data):
+        span.add(column, 1 << j)
+    residual, x = span.reduce(b)
+    return None if residual else x

@@ -1,8 +1,8 @@
 """Cohomology of the Lambda algebra differential in a fixed bidegree.
 
 Each bidegree slice carries the admissible basis and the echelon span of
-the boundaries in it, whose provenance records which words of the
-previous slice produce each boundary.  Class-level questions (is this a
+the boundaries in it, whose tags record which words of the previous
+slice produce each boundary.  Class-level questions (is this a
 boundary, are these two cycles homologous) reduce to a reduction against
 such a span.  row places each word of an element in the sorted basis
 with bisect, so one question about a few words builds no index over a
@@ -12,11 +12,11 @@ differential before they are returned.
 Ext dimensions need ranks only, and take a path of their own.
 lambda_algebra.differential_rows turns each basis word straight into its
 bit row over the codomain basis, and rank_out eliminates those rows
-against their pivots alone: no provenance is kept, so only the echelon
-rows are held.  The rank out of each bidegree is kept in a memo of plain
+against their pivots alone: no tags are kept, so only the echelon rows
+are held.  The rank out of each bidegree is kept in a memo of plain
 ints, filled by slice_at or by rank_out, so each differential is
 computed at most once per process.  slice_at and transfer.find_preimage
-feed the same rows to a provenance span.
+feed the same rows to a tagged span.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class BidegreeSlice:
     """The chain data at one bidegree (s, d).
 
     boundaries holds the differentials of prev_basis, the basis at
-    (s-1, d+1), as rows in basis coordinates, added in prev_basis order:
-    bit i of a provenance mask stands for prev_basis[i].  The slice is
+    (s-1, d+1), as rows in basis coordinates, the row of prev_basis[i]
+    tagged 1 << i: bit i of a tag stands for prev_basis[i].  The slice is
     cached and shared, so add nothing to boundaries; copy it instead.
     """
 
@@ -67,7 +67,7 @@ _RANK_OUT: dict[tuple[int, int], int] = {}
 
 def rank_out(s: int, d: int) -> int:
     """Rank of the differential from (s, d) to (s+1, d-1), computed once
-    and without provenance."""
+    and without tags."""
     if s < 0 or d < 1:
         return 0
     rank = _RANK_OUT.get((s, d))
@@ -93,8 +93,8 @@ def slice_at(s: int, d: int) -> BidegreeSlice:
     basis = la.admissible_basis(s, d)
     prev_basis = la.admissible_basis(s - 1, d + 1) if s >= 1 else ()
     boundaries = f2core.Span()
-    for row in la.differential_rows(prev_basis, basis):
-        boundaries.add(row)
+    for i, row in enumerate(la.differential_rows(prev_basis, basis)):
+        boundaries.add(row, 1 << i)
     if s >= 1:
         _RANK_OUT[s - 1, d + 1] = len(boundaries)
     return BidegreeSlice(

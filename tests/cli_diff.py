@@ -8,7 +8,9 @@ tree, in a fresh interpreter with that tree on PYTHONPATH, in a
 temporary directory that holds the input files below.  The script
 prints each command whose stdout, stderr or exit code differs, with a
 diff, and exits 1 if any differs, 0 if none does.  Output is canonical,
-so any difference is a change of behaviour.  Standard library only.
+so any difference is a change of behaviour.  A last line gives each
+tree's total wall seconds over all commands, interpreter start-up
+included.  Standard library only.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 RUN = "import sys; from ltk.cli import run; sys.exit(run(sys.argv[1:]))"
 TIMEOUT_S = 600
 
 # input files written into the working directory; catalog entries are
 # read from the first tree's catalog_data
-CATALOG_INPUTS = ("u14", "u20", "u24", "h0", "c0")
+CATALOG_INPUTS = ("u14", "u20", "u24", "h0", "c0", "d0")
 # input file -> catalog entry and the letters appended to each of its
 # words: the targets h0d0 and h1h4c0 as raw concatenations, which
 # find-preimage normalizes
@@ -91,6 +94,11 @@ COMMANDS: list[list[str]] = [
       for s, d in (("5", "20"), ("5", "24"), ("4", "20"), ("6", "30"))
       for fmt in ([], ["--format", "json"])],
     ["transfer-image", "--s", "5", "--deg", "20"],
+    ["primitive-basis", "--rank", "5", "--deg", "14", "--format", "json"],
+    ["primitive-basis", "--rank", "4", "--deg", "30"],
+    ["transfer-image", "--s", "4", "--deg", "14", "--format", "json"],
+    ["transfer-image", "--s", "4", "--deg", "17"],
+    ["find-preimage", "--s", "4", "--in", "d0.f2elt"],
     *[[cmd, "--in", name, *fmt]
       for cmd in ("diff", "sq0")
       for name in ("admissible.f2elt", "blend.f2elt")
@@ -134,12 +142,14 @@ def write_inputs(tree: str, workdir: str) -> None:
             fh.write(text)
 
 
-def run(tree: str, argv: list[str], workdir: str) -> tuple[int, str, str]:
+def run(tree: str, argv: list[str], workdir: str) -> tuple[tuple[int, str, str], float]:
+    """The command's exit code, stdout and stderr, and its wall seconds."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(tree))
+    start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", RUN, *argv], cwd=workdir, env=env,
                           stdin=subprocess.DEVNULL, capture_output=True,
                           text=True, encoding="utf-8", timeout=TIMEOUT_S)
-    return done.returncode, done.stdout, done.stderr
+    return (done.returncode, done.stdout, done.stderr), time.perf_counter() - start
 
 
 def _diff(label: str, old: str, new: str) -> list[str]:
@@ -152,11 +162,14 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     old_tree, new_tree = argv
-    differ = 0
+    differ, old_s, new_s = 0, 0.0, 0.0
     with tempfile.TemporaryDirectory() as workdir:
         write_inputs(old_tree, workdir)
         for cmd in COMMANDS:
-            old, new = run(old_tree, cmd, workdir), run(new_tree, cmd, workdir)
+            old, old_t = run(old_tree, cmd, workdir)
+            new, new_t = run(new_tree, cmd, workdir)
+            old_s += old_t
+            new_s += new_t
             if old == new:
                 continue
             differ += 1
@@ -167,6 +180,7 @@ def main(argv: list[str]) -> int:
                 for line in _diff(label, a, b):
                     print("  " + line)
     print(f"{len(COMMANDS)} commands, {differ} differ")
+    print(f"wall seconds, all commands: old {old_s:.2f}, new {new_s:.2f}")
     return 1 if differ else 0
 
 

@@ -23,6 +23,7 @@ from ltk.divided_power import (
 from .oracles import (
     compositions,
     divided_multiply,
+    kernel_basis,
     sq_right_dual_oracle,
     sq_right_dual_table,
 )
@@ -256,7 +257,7 @@ class TestPrimitiveBasis:
                     bits |= 1 << index[m]
                 rows.append(bits)
             if rows:
-                mat = f2core.BitMatrix.from_rows(len(index), rows)
+                mat = f2core.BitMatrix(len(rows), len(index), tuple(rows))
                 assert f2core.rank(mat) == len(rows)
 
     def test_u14_lies_in_primitive_span(self):
@@ -273,8 +274,28 @@ class TestPrimitiveBasis:
         target = 0
         for m in u14:
             target |= 1 << index[m]
-        matrix = f2core.BitMatrix.from_rows(len(index), rows).transpose()
-        assert f2core.solve(matrix, f2core.BitVector(len(index), target)) is not None
+        matrix = f2core.BitMatrix(len(rows), len(index), tuple(rows)).transpose()
+        assert f2core.solve(matrix, target) is not None
+
+
+    def test_exact_list_against_the_dual_kernel(self):
+        # the stacked map of the squares Sq^(2^k), 2^(k+1) <= d, built from
+        # the polynomial duality; primitive_basis must list its free-column
+        # kernel basis over gamma_basis(s, d), in order
+        for s in range(1, 5):
+            for d in range(13):
+                basis = gamma_basis(s, d)
+                rows, width = [0] * len(basis), 0
+                for i in (1 << k for k in range(d.bit_length()) if 2 << k <= d):
+                    table = sq_right_dual_table(s, d, i)
+                    index: dict = {}
+                    for j, m in enumerate(basis):
+                        for w in table[m]:
+                            rows[j] |= 1 << (width + index.setdefault(w, len(index)))
+                    width += len(index)
+                expected = [frozenset(m for k, m in enumerate(basis) if v >> k & 1)
+                            for v in kernel_basis(rows, width)]
+                assert primitive_basis(s, d) == expected, (s, d)
 
 
 class TestDividedMultiply:

@@ -50,16 +50,16 @@ class TestSliceInvariants:
         assert all(row == 0 for row in composed)
 
     def test_matrix_shapes_follow_bases(self):
-        # boundary rows live on basis, their provenance on prev_basis
+        # boundary rows live on basis, their tags on prev_basis
         sl = slice_at(3, 8)
         rows = image_rows(sl.prev_basis, sl.basis)
         for row in rows:
-            residual, provenance = sl.boundaries.reduce(row)
+            residual, tag = sl.boundaries.reduce(row)
             assert residual == 0
             assert row >> len(sl.basis) == 0
-            assert provenance >> len(sl.prev_basis) == 0
-        assert all(v >> len(sl.prev_basis) == 0 for v in sl.boundaries.kernel)
-        assert len(sl.boundaries) + len(sl.boundaries.kernel) == len(sl.prev_basis)
+            assert tag >> len(sl.prev_basis) == 0
+        nullity = len(kernel_basis(rows, len(sl.basis)))
+        assert len(sl.boundaries) + nullity == len(sl.prev_basis)
 
 
 class TestIsCycle:
@@ -144,7 +144,7 @@ class TestExtDimension:
             sl = slice_at(s, d)
             out_rows = image_rows(sl.basis, sl.next_basis)
             cycles = len(kernel_basis(out_rows, len(sl.next_basis)))
-            out = BitMatrix.from_rows(len(sl.next_basis), out_rows)
+            out = BitMatrix(len(out_rows), len(sl.next_basis), tuple(out_rows))
             assert cycles + rank(out) == len(sl.basis)
             bounds = len(sl.boundaries)
             assert bounds == rank_of_rows(image_rows(sl.prev_basis, sl.basis), len(sl.basis))
@@ -257,8 +257,8 @@ class TestRankMemo:
 
 
 class TestRankPath:
-    """rank_out eliminates differential_rows without provenance; slice_at
-    and find_preimage feed the same rows to a Span."""
+    """rank_out eliminates differential_rows without tags; slice_at and
+    find_preimage feed the same rows to a tagged Span."""
 
     # every chart cell (s + d <= 21) and the next three diagonals, where a
     # rewrite that stops its scan one pair short first goes wrong

@@ -13,7 +13,7 @@ import pytest
 
 import ltk
 import ltk.cli  # noqa: F401  (the package does not import its front end)
-from ltk import homology
+from ltk import f2core, homology
 from ltk import lambda_algebra as la
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -41,3 +41,17 @@ def test_slice_counter_reads_a_slice(spans):
     counts = dict(counter((3, 4), homology.slice_at(3, 4), set()))
     words = sum(len(la.admissible_basis(s, d)) for s, d in ((2, 5), (3, 4), (4, 3)))
     assert counts == {"homology.slices_built": 1, "homology.slice_words": words}
+
+
+def test_f2core_counters_run_on_each_traced_call(spans):
+    # each wrapped call must run, and its counter read its matrix argument
+    m = f2core.BitMatrix(3, 4, (0b0011, 0b0110, 0b0101))
+    calls = {
+        "f2core.rank": ((m,), f2core.rank(m)),
+        "f2core.solve": ((m, 0b101), f2core.solve(m, 0b101)),
+        "f2core.BitMatrix.transpose": ((m,), m.transpose()),
+    }
+    assert set(calls) == {f"f2core.{attr}" for attr in spans.TRACED["f2core"]}
+    for name, (args, result) in calls.items():
+        counts = dict(spans.COUNTERS[name](args, result, set()))
+        assert counts == {"f2core.calls": 1, "f2core.matrix_bits": 3 * 4}, name

@@ -23,6 +23,14 @@ the factors after it can still absorb its remainder, at most the sum
 of their t // 2, so every surviving state ends at remainder 0.
 Distinct distributions give distinct monomials, so nothing cancels
 within one monomial and the states need no mod-2 bookkeeping.
+
+Each monomial is folded under its generator squares at most once per
+process.  is_primitive reads those images from a memo, _generator_images,
+which holds only the monomials of the elements it has been given (a
+verify run and its mutants share theirs).  primitive_basis folds every
+monomial of its basis once into a bit row, keeps the rows, and re-checks
+each kernel vector as the XOR of the rows it names; it does not touch the
+memo, so a large basis does not stay in memory.
 """
 
 from __future__ import annotations
@@ -117,16 +125,10 @@ def sq_right(e: GammaElement, i: int) -> GammaElement:
         raise ValueError("square degree must be non-negative")
     if i == 0:
         return e
-    return _act(e, (i,))[0]
-
-
-def _act(e: GammaElement, squares: tuple[int, ...]) -> list[GammaElement]:
-    """The images of e under each of the squares, one fold per monomial."""
-    accs: list[set[GammaMonomial]] = [set() for _ in squares]
+    acc: set[GammaMonomial] = set()
     for m in e:
-        for acc, image in zip(accs, _sq_fold(m, squares)):
-            acc.symmetric_difference_update(image)
-    return [frozenset(acc) for acc in accs]
+        acc.symmetric_difference_update(_sq_fold(m, (i,))[0])
+    return frozenset(acc)
 
 
 @dataclass(frozen=True)
@@ -151,6 +153,13 @@ def _generator_squares(d: int) -> tuple[int, ...]:
     return tuple(squares)
 
 
+@functools.cache
+def _generator_images(m: GammaMonomial) -> tuple[tuple[GammaMonomial, ...], ...]:
+    """m's images under each generator square of its degree, folded once
+    per process."""
+    return tuple(map(tuple, _sq_fold(m, _generator_squares(sum(m)))))
+
+
 def is_primitive(e: GammaElement) -> PrimitivityEvidence:
     """Whether every positive-degree square annihilates e."""
     if not is_homogeneous(e):
@@ -159,7 +168,11 @@ def is_primitive(e: GammaElement) -> PrimitivityEvidence:
     if d is None:
         return PrimitivityEvidence(True, ())
     squares = _generator_squares(d)
-    checked = tuple(zip(squares, _act(e, squares)))
+    accs: list[set[GammaMonomial]] = [set() for _ in squares]
+    for m in e:
+        for acc, image in zip(accs, _generator_images(m)):
+            acc.symmetric_difference_update(image)
+    checked = tuple(zip(squares, map(frozenset, accs)))
     return PrimitivityEvidence(all(not img for _, img in checked), checked)
 
 
@@ -192,6 +205,7 @@ def primitive_basis(s: int, d: int) -> list[GammaElement]:
     # image monomial numbered as it is first met: images under distinct
     # squares have distinct degrees, so one numbering serves them all
     column: dict[GammaMonomial, int] = {}
+    rows: list[int] = []
     span = f2core.Span()
     out = []
     for j, m in enumerate(basis):
@@ -199,13 +213,17 @@ def primitive_basis(s: int, d: int) -> list[GammaElement]:
         for image in _sq_fold(m, squares):
             for w in image:
                 row |= 1 << column.setdefault(w, len(column))
+        rows.append(row)
         residual, v = span.add(row, 1 << j)
         if residual:
             continue
-        # the tag of a dependent row is a kernel vector
-        candidate = frozenset(basis[k] for k in f2core.set_bits(v))
-        evidence = is_primitive(candidate)
-        if not evidence:
+        # the tag of a dependent row is a kernel vector; re-check it as
+        # the XOR of the fold rows it names, not through the elimination
+        members = list(f2core.set_bits(v))
+        image = 0
+        for k in members:
+            image ^= rows[k]
+        if image:
             raise AssertionError("kernel vector failed the primitivity re-check")
-        out.append(candidate)
+        out.append(frozenset(basis[k] for k in members))
     return out

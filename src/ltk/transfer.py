@@ -141,7 +141,8 @@ def verify_detection(u: CatalogEntry, target: LambdaElement,
     """Run the full detection pipeline and aggregate a verdict.
 
     Every sub-check that fails is recorded in the report rather than
-    raised, so a corrupted input yields a falsified certificate.
+    raised, so a corrupted input yields a falsified certificate.  Ext at
+    (s, d) is computed, and compared, only when expected_dim is given.
     """
     if u.kind != GAMMA:
         raise ValueError("detection inputs are gamma-kind entries")
@@ -197,9 +198,11 @@ def verify_detection(u: CatalogEntry, target: LambdaElement,
     else:
         fails.append("class-equality")
 
-    ext_dim = homology.ext_dimension(s, d)
-    if expected_dim is not None and ext_dim != expected_dim:
-        fails.append("ext-dimension")
+    ext_dim: Optional[int] = None
+    if expected_dim is not None:
+        ext_dim = homology.ext_dimension(s, d)
+        if ext_dim != expected_dim:
+            fails.append("ext-dimension")
 
     return DetectionReport(
         input_name=u.name,

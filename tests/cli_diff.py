@@ -99,6 +99,9 @@ COMMANDS: list[list[str]] = [
     ["transfer-image", "--s", "4", "--deg", "14", "--format", "json"],
     ["transfer-image", "--s", "4", "--deg", "17"],
     ["find-preimage", "--s", "4", "--in", "d0.f2elt"],
+    # primitive_basis re-checks 965 and 641 kernel vectors here
+    ["transfer-image", "--s", "5", "--deg", "22", "--format", "json"],
+    ["primitive-basis", "--rank", "5", "--deg", "20"],
     *[[cmd, "--in", name, *fmt]
       for cmd in ("diff", "sq0")
       for name in ("admissible.f2elt", "blend.f2elt")

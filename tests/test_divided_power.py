@@ -10,6 +10,7 @@ import pytest
 from ltk import catalog, f2core
 from ltk.divided_power import (
     ZERO,
+    _generator_images,
     _generator_squares,
     _sq_fold,
     degree_of,
@@ -236,6 +237,54 @@ class TestIsPrimitive:
             is_primitive(element((1, 0), (1, 1)))
 
 
+class TestGeneratorImagesMemo:
+    @staticmethod
+    def inputs():
+        out = []
+        for name in ("u14", "u20", "u24"):
+            u = catalog.entry(name).element
+            out += [u - {m} for m in sorted(u)]
+        rng = random.Random(29)
+        for _ in range(80):
+            out.append(random_gamma(rng, rng.randrange(1, 5), rng.randrange(0, 13),
+                                    terms=rng.randrange(1, 5)))
+        return out
+
+    def test_cold_and_warm_evidence_against_the_oracle(self):
+        # rank 5 reads the duality table once per square, since its images
+        # are linear in the monomials; smaller ranks call the oracle itself
+        tables: dict = {}
+
+        def oracle(e, i):
+            rank, d = len(next(iter(e))), degree_of(e)
+            if rank < 5:
+                return sq_right_dual_oracle(e, i)
+            if (d, i) not in tables:
+                tables[d, i] = sq_right_dual_table(rank, d, i)
+            image: set = set()
+            for m in e:
+                image ^= tables[d, i][m]
+            return frozenset(image)
+
+        for e in self.inputs():
+            squares = _generator_squares(degree_of(e)) if e else ()
+            expected = tuple((i, oracle(e, i)) for i in squares)
+            _generator_images.cache_clear()
+            cold = is_primitive(e)
+            assert _generator_images.cache_info().currsize == len(e)
+            hits = _generator_images.cache_info().hits
+            warm = is_primitive(e)
+            assert _generator_images.cache_info().hits == hits + len(e)
+            assert cold.checked == expected, sorted(e)
+            assert warm == cold, sorted(e)
+
+    def test_primitive_basis_leaves_the_memo_alone(self):
+        is_primitive(catalog.entry("u14").element)
+        size = _generator_images.cache_info().currsize
+        primitive_basis(5, 14)
+        assert _generator_images.cache_info().currsize == size
+
+
 class TestPrimitiveBasis:
     def test_rank_one_degree_three(self):
         basis = primitive_basis(1, 3)
@@ -277,6 +326,24 @@ class TestPrimitiveBasis:
         matrix = f2core.BitMatrix(len(rows), len(index), tuple(rows)).transpose()
         assert f2core.solve(matrix, target) is not None
 
+
+    def test_recheck_fires_on_a_corrupted_kernel_vector(self, monkeypatch):
+        # flip, in the tag of every dependent row after it, the bit of a
+        # monomial that is not primitive alone: the named rows then XOR to
+        # that monomial's images, which are not zero
+        assert primitive_basis(4, 7)
+        basis = gamma_basis(4, 7)
+        k = next(k for k, m in enumerate(basis) if not is_primitive(frozenset({m})))
+        add = f2core.Span.add
+
+        def corrupted(self, bits, tag=0):
+            residual, v = add(self, bits, tag)
+            return residual, v if residual or v >> k <= 1 else v ^ 1 << k
+
+        monkeypatch.setattr(f2core.Span, "add", corrupted)
+        with pytest.raises(AssertionError,
+                           match="^kernel vector failed the primitivity re-check$"):
+            primitive_basis(4, 7)
 
     def test_exact_list_against_the_dual_kernel(self):
         # the stacked map of the squares Sq^(2^k), 2^(k+1) <= d, built from

@@ -168,6 +168,20 @@ class TestVerifyDetection:
         assert report.verdict == "falsified"
         assert report.failed_checks == ("ext-dimension",)
 
+    def test_ext_computed_only_when_a_dimension_is_expected(self, monkeypatch):
+        calls = []
+        ext_dimension = homology.ext_dimension
+        monkeypatch.setattr(homology, "ext_dimension",
+                            lambda s, d: calls.append((s, d)) or ext_dimension(s, d))
+        u14 = catalog.entry("u14")
+        target = la.product(catalog.entry("d0").element, catalog.entry("h0").element)
+        report = verify_detection(u14, target)
+        assert report.verdict == "verified"
+        assert report.ext_dim is None
+        assert calls == []
+        assert verify_detection(u14, target, expected_dim=1).ext_dim == 1
+        assert calls == [(5, 14)]
+
     def test_zero_inputs_are_trivial(self):
         report = verify_detection(gamma_entry("zero", dp.ZERO, 5, 14), la.ZERO)
         assert report.verdict == "trivial"

@@ -28,6 +28,15 @@ CLASSES = {
 
 
 @functools.cache
+def _class_target(cls: str) -> la.LambdaElement:
+    """The product of the class's catalog factors, built once per class."""
+    target = la.UNIT
+    for f in CLASSES[cls][1]:
+        target = la.product(target, catalog.entry(f).element)
+    return target
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ltk",
@@ -204,7 +213,7 @@ def _cmd_psi(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    u_name, factors, expected = CLASSES[args.cls]
+    u_name, _, expected = CLASSES[args.cls]
     if args.path is not None:
         s, stored_d = catalog.entry(u_name).bidegree
         e = elements_io.parse_gamma(_read_file(args.path), s)
@@ -217,10 +226,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         u = catalog.CatalogEntry(f"{u_name}(custom)", catalog.GAMMA, (s, d), e)
     else:
         u = catalog.entry(u_name)
-    target = la.UNIT
-    for f in factors:
-        target = la.product(target, catalog.entry(f).element)
-    report = transfer.verify_detection(u, target, expected_dim=expected,
+    report = transfer.verify_detection(u, _class_target(args.cls), expected_dim=expected,
                                        target_name=args.cls)
     print(elements_io.emit_report(report, args.fmt))
     if report.verdict == "falsified":

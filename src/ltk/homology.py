@@ -17,6 +17,14 @@ are held.  The rank out of each bidegree is kept in a memo of plain
 ints, filled by slice_at or by rank_out, so each differential is
 computed at most once per process.  slice_at and transfer.find_preimage
 feed the same rows to a tagged span.
+
+is_cycle sums the differentials of an element's admissible words, each
+word's read from a memo (_word_differential).  d is linear and reads the
+same on an element and on its normal form, so the sum is exactly
+lambda_algebra.differential of the element.  The memo holds only the
+words of elements is_cycle has been asked about: in one process,
+repeated verify calls ask about the same target and nearly the same
+transfer image.  lambda_algebra.differential itself is not cached.
 """
 
 from __future__ import annotations
@@ -110,10 +118,19 @@ def _require_homogeneous(e: LambdaElement) -> None:
         raise ValueError("element is not homogeneous")
 
 
+@functools.cache
+def _word_differential(w: LambdaMonomial) -> LambdaElement:
+    return la.differential(frozenset({w}))
+
+
 def is_cycle(e: LambdaElement) -> bool:
-    """True iff the differential of e vanishes."""
+    """True iff the differential of e vanishes: the XOR of its admissible
+    words' differentials, each read from a memo."""
     _require_homogeneous(e)
-    return not la.differential(e)
+    total: set = set()
+    for w in la._admissible_form(e):
+        total ^= _word_differential(w)
+    return not total
 
 
 def boundary_witness(r: LambdaElement) -> Optional[LambdaElement]:

@@ -66,8 +66,9 @@ COMMANDS: list[list[str]] = [
     *[["verify", "--class", cls, *fmt]
       for cls in ("h0d0", "h2e0", "h1h4c0")
       for fmt in ([], ["--format", "json"])],
-    ["verify", "--class", "h0d0", "--in", "u14_mutant.f2elt"],
-    ["verify", "--class", "h0d0", "--in", "u14_mutant.f2elt", "--format", "json"],
+    *[["verify", "--class", cls, "--in", f"{u}_mutant.f2elt", *fmt]
+      for cls, u in (("h0d0", "u14"), ("h2e0", "u20"), ("h1h4c0", "u24"))
+      for fmt in ([], ["--format", "json"])],
     ["verify", "--class", "h2e0", "--in", "u20.f2elt", "--format", "json"],
     ["verify", "--class", "h0d0", "--in", "mixed.f2elt"],
     ["primitive-basis", "--rank", "5", "--deg", "9"],
@@ -135,7 +136,8 @@ def write_inputs(tree: str, workdir: str) -> None:
             return fh.read()
 
     files = {f"{name}.f2elt": catalog_text(name) for name in CATALOG_INPUTS}
-    files["u14_mutant.f2elt"] = _mutant(files["u14.f2elt"])
+    for u in ("u14", "u20", "u24"):
+        files[f"{u}_mutant.f2elt"] = _mutant(files[f"{u}.f2elt"])
     for file, (name, letters) in PRODUCTS.items():
         files[file] = catalog_text(name).replace("]", letters + "]")
     files.update(MALFORMED, **{"chains.f2elt": CHAINS, "admissible.f2elt": ADMISSIBLE,

@@ -3,16 +3,19 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltk import catalog, elements_io, homology, transfer
+from ltk import catalog, cli, elements_io, homology, transfer
 from ltk import divided_power as dp
 from ltk.cli import FALSIFIED, OK, USAGE, _parser, run
 from ltk.lambda_algebra import product
+
+from . import cli_diff
 
 
 @pytest.fixture()
@@ -403,6 +406,19 @@ class TestConsecutiveRuns:
         assert "--deg" in err
         code, out, err = capture("basis", "--s", "2", "--deg", "2")
         assert (code, out, err) == (OK, "L[1,1]\nL[2,0]\n", "count = 2\n")
+
+    def test_verify_commands_of_cli_diff_repeat_byte_for_byte(self, capture, tmp_path,
+                                                               monkeypatch):
+        # the first run of each command starts from empty memos: the word
+        # differentials of is_cycle and the class targets
+        cli_diff.write_inputs(os.path.dirname(os.path.dirname(cli.__file__)), tmp_path)
+        monkeypatch.chdir(tmp_path)
+        commands = [cmd for cmd in cli_diff.COMMANDS if cmd[:1] == ["verify"]]
+        assert len(commands) == 15
+        for cmd in commands:
+            homology._word_differential.cache_clear()
+            cli._class_target.cache_clear()
+            assert capture(*cmd) == capture(*cmd), cmd
 
 
 # the flags each subcommand takes besides --format

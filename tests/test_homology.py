@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ltk import catalog, homology, lambda_algebra
+from ltk.transfer import transfer_image_dim
 from ltk.f2core import BitMatrix, Span, rank
 from ltk.homology import (
     NotACycleError,
@@ -76,6 +77,96 @@ class TestIsCycle:
     def test_rejects_mixed_degrees(self):
         with pytest.raises(ValueError):
             is_cycle(element((1,), (2,)))
+
+
+def random_words(rng: random.Random, s: int, d: int, terms: int) -> set:
+    """Up to `terms` words of length s and degree d, admissible or not."""
+    words = set()
+    for _ in range(terms):
+        cuts = sorted(rng.randrange(d + 1) for _ in range(s - 1))
+        words.add(tuple(b - a for a, b in zip([0, *cuts], [*cuts, d])))
+    return words
+
+
+def recording_differential(monkeypatch) -> list:
+    """Record the argument of each lambda_algebra.differential call."""
+    calls = []
+    inner = lambda_algebra.differential
+
+    def recorded(e):
+        calls.append(e)
+        return inner(e)
+    monkeypatch.setattr(lambda_algebra, "differential", recorded)
+    return calls
+
+
+class TestWordDifferentialMemo:
+    """is_cycle sums memoized word differentials; d is linear, so the sum
+    is the differential of the whole element."""
+
+    CELLS = [(1, 5), (2, 7), (2, 12), (3, 9), (3, 14), (4, 13)]
+
+    @staticmethod
+    def inputs() -> list:
+        rng = random.Random(211)
+        out = []
+        for s, d in TestWordDifferentialMemo.CELLS:
+            basis = admissible_basis(s, d)
+            kernel = oracles.kernel_elements(differential, basis, admissible_basis(s + 1, d - 1))
+            for _ in range(6):
+                admissible = frozenset(w for w in basis if rng.random() < 0.3)
+                cycle = frozenset()
+                for v in kernel:
+                    if rng.random() < 0.5:
+                        cycle ^= v
+                # the same cycle with some words written inadmissibly
+                words = random_words(rng, s, d, 3)
+                relation = frozenset(words) ^ normalize(frozenset(words))
+                out += [admissible, cycle, cycle ^ relation, frozenset(words)]
+        return out
+
+    def test_cold_and_warm_answers_equal_the_differential(self):
+        inputs = self.inputs()
+        assert any(not differential(e) for e in inputs if e)
+        assert any(differential(e) for e in inputs)
+        assert any(not all(map(lambda_algebra.is_admissible, e)) and not differential(e)
+                   for e in inputs)
+        for e in [ZERO, *inputs]:
+            expected = not differential(e)
+            homology._word_differential.cache_clear()
+            assert is_cycle(e) == expected, sorted(e)
+            assert is_cycle(e) == expected, sorted(e)
+
+    def test_non_homogeneous_input_raises_cold_and_warm(self):
+        e = element((1,), (2,))
+        homology._word_differential.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                is_cycle(e)
+        is_cycle(element((1,)))
+        is_cycle(element((2,)))
+        with pytest.raises(ValueError):
+            is_cycle(e)
+
+    def test_second_call_differentiates_nothing(self, monkeypatch):
+        # d0 is stored with inadmissible words; the memo holds its normal form's
+        e = catalog.entry("d0").element
+        homology._word_differential.cache_clear()
+        calls = recording_differential(monkeypatch)
+        assert is_cycle(e)
+        assert len(calls) == len(normalize(e))
+        assert set(calls) == {frozenset({w}) for w in normalize(e)}
+        assert homology._word_differential.cache_info().currsize == len(calls)
+        assert is_cycle(e)
+        assert len(calls) == len(normalize(e))
+
+    def test_ext_and_slices_leave_the_memo_alone(self, fresh_caches):
+        is_cycle(catalog.entry("d0").element)
+        size = homology._word_differential.cache_info().currsize
+        transfer_image_dim(5, 14)
+        ext_dimension(4, 17)
+        slice_at(3, 11)
+        assert homology._word_differential.cache_info().currsize == size
 
 
 class TestBoundaryWitness:

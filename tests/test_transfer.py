@@ -10,6 +10,7 @@ from ltk import catalog, homology
 from ltk import divided_power as dp
 from ltk import lambda_algebra as la
 from ltk.catalog import CatalogEntry
+from ltk.cli import CLASSES
 from ltk.transfer import (
     DEFAULT_MAX_BASIS,
     ResourceLimitError,
@@ -216,6 +217,29 @@ class TestVerifyDetection:
                     image ^= table[term]
                 primitive = primitive and not image
             assert ("primitive" in report.failed_checks) == (not primitive), m
+
+    def test_warm_reports_equal_cold_ones(self):
+        # the 87 inputs of a detect run: 3 certificates, 84 single-deletion mutants
+        runs = []
+        for cls, (name, factors, expected) in CLASSES.items():
+            u = catalog.entry(name)
+            target = la.UNIT
+            for f in factors:
+                target = la.product(target, catalog.entry(f).element)
+            runs.append((u, target, expected, cls))
+            runs += [(gamma_entry(f"{name}(custom)", u.element - {m}, *u.bidegree),
+                      target, expected, cls) for m in sorted(u.element)]
+        assert len(runs) == 87
+        cold = []
+        for u, target, expected, cls in runs:
+            homology._word_differential.cache_clear()
+            cold.append(verify_detection(u, target, expected_dim=expected, target_name=cls))
+        warm = [verify_detection(u, target, expected_dim=expected, target_name=cls)
+                for u, target, expected, cls in runs]
+        assert [r.verdict for r in cold].count("verified") == 3
+        for a, b in zip(cold, warm):
+            # a dataclass compares field by field
+            assert a == b, a.input_name
 
     def test_lambda_entry_rejected(self):
         with pytest.raises(ValueError):

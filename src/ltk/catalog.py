@@ -61,15 +61,9 @@ def entry(name: str) -> CatalogEntry:
         raise KeyError(f"no catalog entry named {name!r}")
     kind, s, d = _INDEX[name]
     text = _read(name)
-    if kind == LAMBDA:
-        e = elements_io.parse_lambda(text)
-        lengths = {len(w) for w in e}
-        degrees = {sum(w) for w in e}
-    else:
-        e = elements_io.parse_gamma(text, rank=s)
-        lengths = {len(m) for m in e}
-        degrees = {sum(m) for m in e}
-    if lengths != {s} or degrees != {d}:
+    e = (elements_io.parse_lambda(text) if kind == LAMBDA
+         else elements_io.parse_gamma(text, rank=s))
+    if {(len(t), sum(t)) for t in e} != {(s, d)}:
         raise ValueError(
             f"catalog entry {name!r} does not match its declared bidegree ({s}, {d})"
         )

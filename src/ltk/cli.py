@@ -106,8 +106,7 @@ def _load_gamma(args: argparse.Namespace) -> dp.GammaElement:
     of its terms is within the cap.  A huge exponent would keep the
     Steenrod fold and psi's rewriting busy for ages, so it is refused
     before either."""
-    e = elements_io.parse_document(_read_file(args.path), kind="gamma",
-                                   rank=args.rank).element
+    e = elements_io.parse_gamma(_read_file(args.path), args.rank)
     transfer.guard(args.max_basis, monomials=[(len(m), sum(m)) for m in e])
     return e
 

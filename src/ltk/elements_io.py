@@ -19,13 +19,17 @@ match.  Only when a term fails to match does _diagnose walk it again,
 piece by piece with the same piece patterns, to name what was expected
 and what was found; the line and column of a ParseError are computed
 from that offset then, and never on the way.
+
+There is one reader per kind.  parse_lambda reads a Lambda element.
+parse_gamma reads a divided-power element of a given rank, or, given
+none, of the one rank its terms share.  parse_document picks between
+them by the first term's head.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, NoReturn, Optional
 
 from . import divided_power as dp
@@ -159,11 +163,21 @@ def parse_lambda(text: str) -> la.LambdaElement:
     return _parse(text, _LAMBDA)
 
 
-def parse_gamma(text: str, rank: int) -> dp.GammaElement:
-    """Parse a divided-power element whose terms must have the given arity."""
-    if rank < 1:
+def parse_gamma(text: str, rank: Optional[int] = None) -> dp.GammaElement:
+    """Parse a divided-power element whose terms must have the given
+    arity or, without a rank, one arity they all share; a zero element
+    has none to share."""
+    if rank is not None and rank < 1:
         raise ValueError("rank must be at least 1")
     e = _parse(text, _GAMMA)
+    if rank is None:
+        ranks = {len(m) for m in e}
+        if not ranks:
+            raise ParseError("cannot infer the rank of a zero element; "
+                             "pass the rank explicitly", 1, 1)
+        if len(ranks) > 1:
+            raise ParseError("terms of mixed arity", 1, 1)
+        return e
     for m in e:
         if len(m) != rank:
             raise ParseError(
@@ -186,43 +200,16 @@ def serialize_gamma(e: dp.GammaElement) -> str:
     )
 
 
-@dataclass(frozen=True)
-class ElementDocument:
-    """A parsed element file: its kind, rank (gamma only) and element."""
-
-    kind: str  # "lambda" | "gamma"
-    rank: Optional[int]
-    element: frozenset
-
-
-def parse_document(text: str, kind: Optional[str] = None,
-                   rank: Optional[int] = None) -> ElementDocument:
-    """Parse element text, sniffing the kind from the first term if needed.
-
-    A bare "0" is only accepted when the kind is supplied by the caller.
-    """
-    if kind is None:
-        stripped = text.lstrip()
-        if stripped.startswith("L"):
-            kind = "lambda"
-        elif stripped.startswith("a"):
-            kind = "gamma"
-        else:
-            raise ParseError("cannot infer element kind", 1, 1)
-    if kind == "lambda":
-        return ElementDocument("lambda", None, parse_lambda(text))
-    if kind == "gamma":
-        if rank is not None:
-            return ElementDocument("gamma", rank, parse_gamma(text, rank))
-        e = _parse(text, _GAMMA)
-        ranks = {len(m) for m in e}
-        if not ranks:
-            raise ParseError("cannot infer the rank of a zero element; "
-                             "pass the rank explicitly", 1, 1)
-        if len(ranks) > 1:
-            raise ParseError("terms of mixed arity", 1, 1)
-        return ElementDocument("gamma", ranks.pop(), e)
-    raise ValueError(f"unknown kind {kind!r}")
+def parse_document(text: str) -> frozenset:
+    """Parse element text of the kind its first term names: a Lambda
+    element, or a divided-power element of the rank its terms share.
+    A bare "0" names no kind and is refused."""
+    stripped = text.lstrip()
+    if stripped.startswith("L"):
+        return parse_lambda(text)
+    if stripped.startswith("a"):
+        return parse_gamma(text)
+    raise ParseError("cannot infer element kind", 1, 1)
 
 
 def _report_dict(r: "DetectionReport") -> dict:

@@ -146,7 +146,6 @@ def verify_detection(u: CatalogEntry, target: LambdaElement,
     """
     if u.kind != GAMMA:
         raise ValueError("detection inputs are gamma-kind entries")
-    fails: list[str] = []
     target = la.normalize(target)
     s, d = u.bidegree
 
@@ -163,46 +162,33 @@ def verify_detection(u: CatalogEntry, target: LambdaElement,
         evidence = dp.is_primitive(u.element)
     except ValueError:
         evidence = PrimitivityEvidence(False, ())
-    if not evidence.holds:
-        fails.append("primitive")
-
     image = psi(u.element)
     cycle_ok = la.is_homogeneous(image) and homology.is_cycle(image)
-    if not cycle_ok:
-        fails.append("cycle")
-
     target_is_cycle = la.is_homogeneous(target) and homology.is_cycle(target)
-    target_nonzero: Optional[bool] = None
-    if target_is_cycle:
-        # the target is a normalized cycle already: class_nonzero would
-        # check both again
-        target_nonzero = homology.boundary_witness(target) is None
-        if not target_nonzero:
-            fails.append("target-nonzero")
-    else:
-        fails.append("target-cycle")
+    # the target is a normalized cycle already: class_nonzero would
+    # check both again
+    target_nonzero = (homology.boundary_witness(target) is None
+                      if target_is_cycle else None)
 
     same: Optional[bool] = None
     witness: Optional[LambdaElement] = None
-    comparable = (
-        cycle_ok and target_is_cycle
-        and (not image or not target or la.bidegree(image) == la.bidegree(target))
-    )
-    if comparable:
+    if (cycle_ok and target_is_cycle
+            and (not image or not target or la.bidegree(image) == la.bidegree(target))):
         # what same_class(image, target) returns, without checking again
         # that both are normalized cycles of one bidegree
         witness = homology.boundary_witness(image ^ target)
         same = witness is not None
-        if not same:
-            fails.append("class-equality")
-    else:
-        fails.append("class-equality")
 
-    ext_dim: Optional[int] = None
-    if expected_dim is not None:
-        ext_dim = homology.ext_dimension(s, d)
-        if ext_dim != expected_dim:
-            fails.append("ext-dimension")
+    ext_dim = None if expected_dim is None else homology.ext_dimension(s, d)
+    # the verdict's sub-checks, in the order a falsified report names them
+    fails = tuple(name for name, ok in (
+        ("primitive", evidence.holds),
+        ("cycle", cycle_ok),
+        ("target-cycle", target_is_cycle),
+        ("target-nonzero", target_nonzero is not False),
+        ("class-equality", bool(same)),
+        ("ext-dimension", ext_dim == expected_dim),
+    ) if not ok)
 
     return DetectionReport(
         input_name=u.name,
@@ -219,7 +205,7 @@ def verify_detection(u: CatalogEntry, target: LambdaElement,
         ext_dim=ext_dim,
         expected_dim=expected_dim,
         verdict="verified" if not fails else "falsified",
-        failed_checks=tuple(fails),
+        failed_checks=fails,
     )
 
 

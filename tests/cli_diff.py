@@ -10,12 +10,14 @@ prints each command whose stdout, stderr or exit code differs, with a
 diff, and exits 1 if any differs, 0 if none does.  Output is canonical,
 so any difference is a change of behaviour.  A last line gives each
 tree's total wall seconds over all commands, interpreter start-up
-included.  Standard library only.
+included, and the next the number of lines in each tree's ltk/*.py.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import difflib
+import glob
 import os
 import subprocess
 import sys
@@ -55,6 +57,9 @@ CHAINS = ("L[0,0,0,0,0,30] + L[0,0,0,0,0,20] + L[3,1,0,2,0,28] +\n"
 # in zeros, alone and mixed with inadmissible ones
 ADMISSIBLE = "L[8,6,4,2] + L[12,8,0,0] + L[10,5,3,2]\n"
 BLEND = "L[8,6,4,2] + L[12,8,0,0] + L[1,2,7,10] + L[0,3,6,11] + L[5,9,6,0]\n"
+# a rank-5 sum whose two terms have degrees 14 and 13, and a zero element
+MIXED_DEGREE = "a(0,6,5,2,1) + a(0,6,5,1,1)\n"
+ZERO = "0\n"
 
 
 def _mutant(text: str) -> str:
@@ -63,6 +68,19 @@ def _mutant(text: str) -> str:
 
 
 COMMANDS: list[list[str]] = [
+    # the element readers: a rank given, inferred, refused or not named,
+    # and files of the wrong kind or of mixed arity or degree
+    *[[*cmd, *rank, "--format", "json", "--in", "u14.f2elt"]
+      for cmd in (["psi"], ["primitive-check"], ["steenrod", "--deg", "2"])
+      for rank in ([], ["--rank", "5"])],
+    ["psi", "--rank", "0", "--in", "u14.f2elt"],
+    ["psi", "--in", "zero.f2elt"],
+    ["psi", "--rank", "5", "--in", "zero.f2elt"],
+    ["primitive-check", "--in", "mixed.f2elt"],
+    ["psi", "--in", "d0.f2elt"],
+    *[["verify", "--class", "h0d0", "--in", name, *fmt]
+      for name in ("mixed_degree.f2elt", "zero.f2elt")
+      for fmt in ([], ["--format", "json"])],
     *[["verify", "--class", cls, *fmt]
       for cls in ("h0d0", "h2e0", "h1h4c0")
       for fmt in ([], ["--format", "json"])],
@@ -141,7 +159,8 @@ def write_inputs(tree: str, workdir: str) -> None:
     for file, (name, letters) in PRODUCTS.items():
         files[file] = catalog_text(name).replace("]", letters + "]")
     files.update(MALFORMED, **{"chains.f2elt": CHAINS, "admissible.f2elt": ADMISSIBLE,
-                               "blend.f2elt": BLEND})
+                               "blend.f2elt": BLEND, "mixed_degree.f2elt": MIXED_DEGREE,
+                               "zero.f2elt": ZERO})
     for name, text in files.items():
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -160,6 +179,15 @@ def run(tree: str, argv: list[str], workdir: str) -> tuple[tuple[int, str, str],
 def _diff(label: str, old: str, new: str) -> list[str]:
     return list(difflib.unified_diff(old.splitlines(), new.splitlines(),
                                      f"old {label}", f"new {label}", lineterm=""))
+
+
+def _lines(tree: str) -> int:
+    """The number of lines in the tree's ltk/*.py."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "ltk", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def main(argv: list[str]) -> int:
@@ -186,6 +214,7 @@ def main(argv: list[str]) -> int:
                     print("  " + line)
     print(f"{len(COMMANDS)} commands, {differ} differ")
     print(f"wall seconds, all commands: old {old_s:.2f}, new {new_s:.2f}")
+    print(f"lines in ltk/*.py: old {_lines(old_tree)}, new {_lines(new_tree)}")
     return 1 if differ else 0
 
 

@@ -164,6 +164,57 @@ class TestVerify:
         assert data["failed_checks"]
         assert err == f"failed: {', '.join(data['failed_checks'])}\n"
 
+    # input text, target (a class, or an element), expected Ext dimension,
+    # and the failed checks in the order every output names them
+    VERDICT_ORDER_CASES = {
+        "non-primitive mutant": ("mutant", "h0d0", 1, ("primitive",)),
+        "mixed degrees": ("a(0,6,5,2,1) + a(0,6,5,1,1)", "h0d0", 1,
+                          ("primitive", "cycle", "class-equality")),
+        "target not a cycle": ("u14", ((2,),), 1, ("target-cycle", "class-equality")),
+        "target a boundary": ("u14", ((1, 0),), 1,
+                              ("target-nonzero", "class-equality")),
+        "class in another bidegree": ("u14", "h2e0", 1, ("class-equality",)),
+        "expected dimension 2": ("u14", "h0d0", 2, ("ext-dimension",)),
+        "mutant, non-cycle target, dimension 2": (
+            "mutant", ((2,),), 2,
+            ("primitive", "target-cycle", "class-equality", "ext-dimension")),
+        "mixed degrees, boundary target, dimension 2": (
+            "a(0,6,5,2,1) + a(0,6,5,1,1)", ((1, 0),), 2,
+            ("primitive", "cycle", "target-nonzero", "class-equality",
+             "ext-dimension")),
+    }
+
+    @pytest.mark.parametrize("case", VERDICT_ORDER_CASES)
+    def test_every_output_names_the_failed_checks_in_one_order(
+            self, capture, tmp_path, monkeypatch, case):
+        text, target, expected_dim, failed = self.VERDICT_ORDER_CASES[case]
+        u14 = catalog.entry("u14").element
+        text = {"mutant": elements_io.serialize_gamma(u14 - {min(u14)}),
+                "u14": elements_io.serialize_gamma(u14)}.get(text, text)
+        target = (cli._class_target(target) if isinstance(target, str)
+                  else frozenset(target))
+        e = elements_io.parse_gamma(text, 5)
+        degrees = {sum(m) for m in e}
+        d = degrees.pop() if len(degrees) == 1 else 14
+        report = transfer.verify_detection(
+            catalog.CatalogEntry("u14(custom)", catalog.GAMMA, (5, d), e),
+            target, expected_dim=expected_dim, target_name="h0d0")
+        assert report.failed_checks == failed
+        assert json.loads(elements_io.emit_report(report, "json"))["failed_checks"] \
+            == list(failed)
+        assert elements_io.emit_report(report, "text").splitlines()[-1] \
+            == f"failed checks:  {', '.join(failed)}"
+        # the command line, given the same input, target and dimension
+        monkeypatch.setattr(cli, "_class_target", lambda cls: target)
+        monkeypatch.setitem(cli.CLASSES, "h0d0", ("u14", (), expected_dim))
+        path = write(tmp_path, "in.f2elt", text)
+        for fmt in ("text", "json"):
+            code, out, err = capture("verify", "--class", "h0d0", "--in", path,
+                                     "--format", fmt)
+            assert code == FALSIFIED
+            assert out == elements_io.emit_report(report, fmt) + "\n"
+            assert err == f"failed: {', '.join(failed)}\n"
+
     def test_verify_custom_input_wrong_degree(self, capture, tmp_path):
         path = write(tmp_path, "short.f2elt", "a(0,6,5,1,1)")
         code, out, err = capture("verify", "--class", "h0d0", "--in", path)
@@ -414,7 +465,7 @@ class TestConsecutiveRuns:
         cli_diff.write_inputs(os.path.dirname(os.path.dirname(cli.__file__)), tmp_path)
         monkeypatch.chdir(tmp_path)
         commands = [cmd for cmd in cli_diff.COMMANDS if cmd[:1] == ["verify"]]
-        assert len(commands) == 15
+        assert len(commands) == 19
         for cmd in commands:
             homology._word_differential.cache_clear()
             cli._class_target.cache_clear()

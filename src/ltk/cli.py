@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable, Sequence
 
 from . import catalog, divided_power as dp, elements_io, homology
 from . import lambda_algebra as la
@@ -125,13 +126,15 @@ def _emit_element(args: argparse.Namespace, e: la.LambdaElement,
         print(body)
 
 
-def _emit_basis(args: argparse.Namespace, bodies: list[str]) -> None:
+def _emit_basis(args: argparse.Namespace, basis: Sequence, serialize: Callable) -> None:
+    """Each member of basis through serialize, one per line or in one JSON
+    list; text is written as it is serialized, so no list of lines is held."""
+    bodies = map(serialize, basis)
     if args.fmt == "json":
-        _emit_json(count=len(bodies), basis=bodies)
+        _emit_json(count=len(basis), basis=list(bodies))
     else:
-        for b in bodies:
-            print(b)
-        print(f"count = {len(bodies)}", file=sys.stderr)
+        sys.stdout.writelines(b + "\n" for b in bodies)
+        print(f"count = {len(basis)}", file=sys.stderr)
 
 
 def _load_rewritten(args: argparse.Namespace) -> la.LambdaElement:
@@ -164,8 +167,7 @@ def _cmd_sq0(args: argparse.Namespace) -> int:
 
 def _cmd_basis(args: argparse.Namespace) -> int:
     transfer.guard(args.max_basis, words=[(args.s, args.deg)])
-    words = la.admissible_basis(args.s, args.deg)
-    _emit_basis(args, [elements_io.serialize_lambda(frozenset({w})) for w in words])
+    _emit_basis(args, la.admissible_basis(args.s, args.deg), elements_io.serialize_word)
     return OK
 
 
@@ -202,7 +204,7 @@ def _cmd_primitive_check(args: argparse.Namespace) -> int:
 def _cmd_primitive_basis(args: argparse.Namespace) -> int:
     transfer.guard(args.max_basis, monomials=[(args.rank, args.deg)])
     basis = dp.primitive_basis(args.rank, args.deg)
-    _emit_basis(args, [elements_io.serialize_gamma(e) for e in basis])
+    _emit_basis(args, basis, elements_io.serialize_gamma)
     return OK
 
 

@@ -186,10 +186,14 @@ def parse_gamma(text: str, rank: Optional[int] = None) -> dp.GammaElement:
     return e
 
 
+def serialize_word(w: la.LambdaMonomial) -> str:
+    return "L[" + ",".join(map(str, w)) + "]"
+
+
 def serialize_lambda(e: la.LambdaElement) -> str:
     if not e:
         return "0"
-    return " + ".join("L[" + ",".join(map(str, w)) + "]" for w in sorted(e))
+    return " + ".join(map(serialize_word, sorted(e)))
 
 
 def serialize_gamma(e: dp.GammaElement) -> str:

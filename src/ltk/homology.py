@@ -18,6 +18,12 @@ ints, filled by slice_at or by rank_out, so each differential is
 computed at most once per process.  slice_at and transfer.find_preimage
 feed the same rows to a tagged span.
 
+For s > d the rank out of (s, d) is the rank out of (d, d), so the memo
+keys only cells with s <= d.  Padding with zeros maps the bases of
+(d, d) and (d+1, d-1) in order onto those of (s, d) and (s+1, d-1), and
+d(u 0^k) = d(u) 0^k, since d(lambda_0) = 0 and no pair (x, 0) is ever
+rewritten: the two matrices are the same.
+
 is_cycle sums the differentials of an element's admissible words, each
 word's read from a memo (_word_differential).  d is linear and reads the
 same on an element and on its normal form, so the sum is exactly
@@ -75,9 +81,10 @@ _RANK_OUT: dict[tuple[int, int], int] = {}
 
 def rank_out(s: int, d: int) -> int:
     """Rank of the differential from (s, d) to (s+1, d-1), computed once
-    and without tags."""
+    and without tags; for s > d it is the rank out of (d, d)."""
     if s < 0 or d < 1:
         return 0
+    s = min(s, d)
     rank = _RANK_OUT.get((s, d))
     if rank is None:
         pivots: dict[int, int] = {}  # top bit -> echelon row
@@ -104,7 +111,7 @@ def slice_at(s: int, d: int) -> BidegreeSlice:
     for i, row in enumerate(la.differential_rows(prev_basis, basis)):
         boundaries.add(row, 1 << i)
     if s >= 1:
-        _RANK_OUT[s - 1, d + 1] = len(boundaries)
+        _RANK_OUT[min(s - 1, d + 1), d + 1] = len(boundaries)
     return BidegreeSlice(
         basis=basis,
         prev_basis=prev_basis,

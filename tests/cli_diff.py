@@ -112,6 +112,12 @@ COMMANDS: list[list[str]] = [
     *[["homology", "--s", s, "--deg", d, *fmt]
       for s, d in (("5", "20"), ("5", "24"), ("4", "20"), ("6", "30"))
       for fmt in ([], ["--format", "json"])],
+    # s > d: the basis of (d, d) padded with zeros, and its rank
+    ["homology", "--s", "12", "--deg", "5"],
+    ["homology", "--s", "6", "--deg", "6"],
+    ["homology", "--s", "9", "--deg", "4", "--format", "json"],
+    ["basis", "--s", "9", "--deg", "4"],
+    ["basis", "--s", "6", "--deg", "12", "--format", "json"],
     ["transfer-image", "--s", "5", "--deg", "20"],
     ["primitive-basis", "--rank", "5", "--deg", "14", "--format", "json"],
     ["primitive-basis", "--rank", "4", "--deg", "30"],

@@ -91,6 +91,13 @@ def generator_diff(n: int) -> set[tuple[int, int]]:
     return out
 
 
+def oracle_differential(e) -> frozenset:
+    """The differential by the Leibniz rule over generator_diff, put in
+    normal form by normal_form."""
+    return normal_form([w[:i] + pair + w[i + 1:]
+                        for w in e for i, n in enumerate(w) for pair in generator_diff(n)])
+
+
 def all_words(s: int, d: int):
     """Every length-s word of total degree d (no admissibility filter)."""
     if s == 0:

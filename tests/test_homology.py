@@ -27,7 +27,8 @@ from ltk.lambda_algebra import (
 )
 
 from . import oracles
-from .oracles import admissible_words_brute, binom2, compose, kernel_basis, rank_of_rows
+from .oracles import (admissible_words_brute, binom2, compose, kernel_basis,
+                      oracle_differential, rank_of_rows)
 
 
 def image_rows(domain, codomain) -> list[int]:
@@ -334,10 +335,33 @@ class TestRankMemo:
         calls = counting_rows(monkeypatch)
         grid = [(s, t - s) for t in range(11) for s in range(t + 1)]
         dims = [ext_dimension(s, d) for s, d in grid]
-        assert calls[0] == sum(len(admissible_basis(s, d)) for s, d in grid if d >= 1)
+        # a cell with s > d reads its rank from (d, d)
+        words = sum(len(admissible_basis(s, d)) for s, d in grid if 1 <= d and s <= d)
+        assert calls[0] == words
+        rank_out(40, 5)
+        assert calls[0] == words
         ext_dimension.cache_clear()
         assert [ext_dimension(s, d) for s, d in grid] == dims
-        assert calls[0] == sum(len(admissible_basis(s, d)) for s, d in grid if d >= 1)
+        assert calls[0] == words
+
+    def test_stable_range_matches_oracle_in_any_order(self, fresh_caches):
+        def oracle_rank(s, d):
+            if s < 0 or d < 1:
+                return 0
+            codomain = admissible_words_brute(s + 1, d - 1)
+            rows = oracles.image_rows(oracle_differential, admissible_words_brute(s, d), codomain)
+            return rank_of_rows(rows, len(codomain))
+
+        cells = [(s, d) for d in range(6) for s in range(d + 1, 13)]
+        expected = {(s, d): (oracle_rank(s, d), len(admissible_words_brute(s, d))
+                             - oracle_rank(s, d) - oracle_rank(s - 1, d + 1))
+                    for s, d in cells}
+        rng = random.Random(17)
+        rng.shuffle(cells)
+        for s, d in cells:
+            # slice_at fills the memo from the other side
+            slice_at(*rng.choice(cells))
+            assert (rank_out(s, d), ext_dimension(s, d)) == expected[s, d], (s, d)
 
     def test_slice_fills_the_incoming_rank(self, fresh_caches, monkeypatch):
         sl = slice_at(4, 10)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ltk import catalog
+from ltk import catalog, lambda_algebra
 from ltk.lambda_algebra import (
     UNIT,
     ZERO,
@@ -23,7 +23,8 @@ from ltk.lambda_algebra import (
     sq0,
 )
 
-from .oracles import adem_rhs, admissible_words_brute, generator_diff, normal_form
+from .oracles import (adem_rhs, admissible_words_brute, generator_diff, normal_form,
+                      oracle_differential)
 
 
 def random_word(rng: random.Random, max_len: int = 5, max_idx: int = 30) -> tuple[int, ...]:
@@ -221,11 +222,6 @@ def mixed_element(rng: random.Random):
     return element(*words)
 
 
-def oracle_differential(e):
-    return normal_form([w[:i] + pair + w[i + 1:]
-                        for w in e for i, n in enumerate(w) for pair in generator_diff(n)])
-
-
 class TestClassifiedInputs:
     """product, differential and sq0 hand the words they make from
     admissible words to the rewriting kernel classified, and the others
@@ -391,15 +387,32 @@ class TestAdmissibleBasis:
         assert admissible_basis(3, 2) == ((1, 1, 0), (2, 0, 0))
 
     def test_against_brute_force(self):
-        # s > d covers the lengths made by padding shorter words with zeros
+        # s > d covers the lengths made by padding shorter words with zeros;
+        # s = 4..7 completes prefixes of one to four letters from the
+        # cached three-letter tables
         for s in range(0, 9):
-            for d in range(0, 15 if s <= 6 else 13):
+            for d in range(0, 17 if s <= 7 else 13):
                 assert list(admissible_basis(s, d)) == admissible_words_brute(s, d), (s, d)
 
     def test_long_words_do_not_recurse_per_letter(self):
         assert admissible_basis(5000, 0) == ((0,) * 5000,)
         assert admissible_basis(5000, 2) == ((1, 1) + (0,) * 4998,
                                              (2,) + (0,) * 4999)
+
+    def test_only_suffix_tables_are_cached(self, monkeypatch):
+        # the bases a long basis is built from have at most three letters,
+        # so the cache holds O(d^3) words besides the answer
+        inner = lambda_algebra.admissible_basis
+        calls = []
+
+        def recorded(s, d):
+            calls.append((s, d))
+            return inner(s, d)
+        monkeypatch.setattr(lambda_algebra, "admissible_basis", recorded)
+        inner.cache_clear()
+        assert len(recorded(6, 40)) == 65363
+        assert calls[0] == (6, 40) and {s for s, _ in calls[1:]} <= {0, 1, 2, 3}
+        assert inner.cache_info().currsize == len(set(calls))
 
     def test_count_matches_enumeration(self):
         for s in range(0, 7):

@@ -68,12 +68,8 @@ def degree_of(e: GammaElement) -> Optional[int]:
     if not degs:
         return None
     if len(degs) > 1:
-        raise ValueError(f"element is not homogeneous: degrees {sorted(degs)}")
+        raise ValueError("element is not homogeneous")
     return degs.pop()
-
-
-def is_homogeneous(e: GammaElement) -> bool:
-    return len({sum(m) for m in e}) <= 1
 
 
 @functools.cache
@@ -123,8 +119,6 @@ def sq_right(e: GammaElement, i: int) -> GammaElement:
     """The right action of Sq^i, extended linearly."""
     if i < 0:
         raise ValueError("square degree must be non-negative")
-    if i == 0:
-        return e
     acc: set[GammaMonomial] = set()
     for m in e:
         acc.symmetric_difference_update(_sq_fold(m, (i,))[0])
@@ -162,8 +156,6 @@ def _generator_images(m: GammaMonomial) -> tuple[tuple[GammaMonomial, ...], ...]
 
 def is_primitive(e: GammaElement) -> PrimitivityEvidence:
     """Whether every positive-degree square annihilates e."""
-    if not is_homogeneous(e):
-        raise ValueError("element is not homogeneous")
     d = degree_of(e)
     if d is None:
         return PrimitivityEvidence(True, ())

@@ -18,11 +18,14 @@ ints, filled by slice_at or by rank_out, so each differential is
 computed at most once per process.  slice_at and transfer.find_preimage
 feed the same rows to a tagged span.
 
-For s > d the rank out of (s, d) is the rank out of (d, d), so the memo
-keys only cells with s <= d.  Padding with zeros maps the bases of
-(d, d) and (d+1, d-1) in order onto those of (s, d) and (s+1, d-1), and
+For s >= d the rank out of (s, d) is the rank out of (d-1, d), so the
+memo keys only cells with s < d.  A word of degree d has at most d
+nonzero letters, all before its zeros, so the basis of (s, d) is that of
+(d-1, d) padded with s-d+1 zeros, plus lambda_1^d padded with s-d zeros;
+padding with zeros maps the basis of (d, d-1) onto that of (s+1, d-1).
 d(u 0^k) = d(u) 0^k, since d(lambda_0) = 0 and no pair (x, 0) is ever
-rewritten: the two matrices are the same.
+rewritten, and d(lambda_1^d) = 0: the matrix out of (s, d) is the one out
+of (d-1, d) with a zero row added.
 
 is_cycle sums the differentials of an element's admissible words, each
 word's read from a memo (_word_differential).  d is linear and reads the
@@ -81,10 +84,10 @@ _RANK_OUT: dict[tuple[int, int], int] = {}
 
 def rank_out(s: int, d: int) -> int:
     """Rank of the differential from (s, d) to (s+1, d-1), computed once
-    and without tags; for s > d it is the rank out of (d, d)."""
+    and without tags; for s >= d it is the rank out of (d - 1, d)."""
     if s < 0 or d < 1:
         return 0
-    s = min(s, d)
+    s = min(s, d - 1)
     rank = _RANK_OUT.get((s, d))
     if rank is None:
         pivots: dict[int, int] = {}  # top bit -> echelon row
@@ -111,18 +114,13 @@ def slice_at(s: int, d: int) -> BidegreeSlice:
     for i, row in enumerate(la.differential_rows(prev_basis, basis)):
         boundaries.add(row, 1 << i)
     if s >= 1:
-        _RANK_OUT[min(s - 1, d + 1), d + 1] = len(boundaries)
+        _RANK_OUT[min(s - 1, d), d + 1] = len(boundaries)
     return BidegreeSlice(
         basis=basis,
         prev_basis=prev_basis,
         next_basis=la.admissible_basis(s + 1, d - 1) if d >= 1 else (),
         boundaries=boundaries,
     )
-
-
-def _require_homogeneous(e: LambdaElement) -> None:
-    if not la.is_homogeneous(e):
-        raise ValueError("element is not homogeneous")
 
 
 @functools.cache
@@ -133,7 +131,7 @@ def _word_differential(w: LambdaMonomial) -> LambdaElement:
 def is_cycle(e: LambdaElement) -> bool:
     """True iff the differential of e vanishes: the XOR of its admissible
     words' differentials, each read from a memo."""
-    _require_homogeneous(e)
+    la.bidegree(e)  # refuses an element that is not homogeneous
     total: set = set()
     for w in la._admissible_form(e):
         total ^= _word_differential(w)
@@ -146,14 +144,13 @@ def boundary_witness(r: LambdaElement) -> Optional[LambdaElement]:
     The returned witness is re-verified before being handed back; the
     zero element is its own (empty) witness.
     """
-    _require_homogeneous(r)
+    # before normalize, which keeps each word's bidegree: a mixed r is
+    # refused even if its normal form is homogeneous
+    bideg = la.bidegree(r)
     r = la.normalize(r)
     if not r:
         return la.ZERO
-    s, d = la.bidegree(r)
-    if s == 0:
-        return None
-    sl = slice_at(s, d)
+    sl = slice_at(*bideg)
     residual, x = sl.boundaries.reduce(row(r, sl.basis))
     if residual:
         return None

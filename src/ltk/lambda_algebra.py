@@ -100,7 +100,7 @@ def bidegree(e: LambdaElement) -> Optional[Bidegree]:
     if not degs:
         return None
     if len(degs) > 1:
-        raise ValueError(f"element is not homogeneous: bidegrees {sorted(degs)}")
+        raise ValueError("element is not homogeneous")
     return degs.pop()
 
 
@@ -345,11 +345,14 @@ def admissible_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
 
     A word of degree d has at most d nonzero letters, all before its
     zeros, so for s > d the basis is that of (d, d) padded with zeros.
-    Otherwise the first s - k letters are enumerated, k = min(s - 1, 3),
-    and each prefix ending in t is completed by the words of the cached
-    basis (k, r) whose first letter is at most 2t: a leading slice of it,
-    since the basis is sorted.  So a basis with s <= d caches no other
-    basis of more than three letters on the way.
+    Two-letter bases are listed directly, several times faster than the
+    enumerator builds them.  Otherwise the first s - k letters are
+    enumerated, k = min(s - 1, 3), and each prefix ending in t is
+    completed by the words of the cached basis (k, r) whose first letter
+    is at most 2t: a leading slice of it, since the basis is sorted.  At
+    s = 1, k = 0 and the one letter d is completed by the empty word of
+    (0, 0).  So a basis with s <= d caches no other basis of more than
+    three letters on the way.
     """
     if s < 0 or d < 0:
         raise ValueError("bidegree components must be non-negative")
@@ -358,8 +361,6 @@ def admissible_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
     if s > d:
         pad = (0,) * (s - d)
         return tuple(w + pad for w in admissible_basis(d, d))
-    if s == 1:
-        return ((d,),)
     if s == 2:
         # any first letter t >= d / 3 leaves an admissible last letter
         return tuple((t, d - t) for t in range(_least_first(2, d), d + 1))

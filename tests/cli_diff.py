@@ -60,6 +60,9 @@ BLEND = "L[8,6,4,2] + L[12,8,0,0] + L[1,2,7,10] + L[0,3,6,11] + L[5,9,6,0]\n"
 # a rank-5 sum whose two terms have degrees 14 and 13, and a zero element
 MIXED_DEGREE = "a(0,6,5,2,1) + a(0,6,5,1,1)\n"
 ZERO = "0\n"
+# a Lambda sum of two degrees, and the unit, the one word of length 0
+MIXED_LAMBDA = "L[1] + L[2]\n"
+UNIT = "L[]\n"
 
 
 def _mutant(text: str) -> str:
@@ -68,6 +71,18 @@ def _mutant(text: str) -> str:
 
 
 COMMANDS: list[list[str]] = [
+    # edge cases that the general paths answer: mixed input refused by
+    # the homogeneity checks, the unit at s = 0, Sq^0, and one-letter
+    # and stable-range cells
+    ["find-preimage", "--s", "1", "--in", "mixed_lambda.f2elt"],
+    ["primitive-check", "--in", "mixed_degree.f2elt"],
+    ["primitive-check", "--in", "mixed_degree.f2elt", "--format", "json"],
+    ["find-preimage", "--s", "0", "--in", "unit.f2elt"],
+    ["steenrod", "--deg", "0", "--in", "u14.f2elt"],
+    ["basis", "--s", "1", "--deg", "9"],
+    ["homology", "--s", "1", "--deg", "1"],
+    ["homology", "--s", "7", "--deg", "7"],
+    ["homology", "--s", "6", "--deg", "7", "--format", "json"],
     # the element readers: a rank given, inferred, refused or not named,
     # and files of the wrong kind or of mixed arity or degree
     *[[*cmd, *rank, "--format", "json", "--in", "u14.f2elt"]
@@ -166,7 +181,8 @@ def write_inputs(tree: str, workdir: str) -> None:
         files[file] = catalog_text(name).replace("]", letters + "]")
     files.update(MALFORMED, **{"chains.f2elt": CHAINS, "admissible.f2elt": ADMISSIBLE,
                                "blend.f2elt": BLEND, "mixed_degree.f2elt": MIXED_DEGREE,
-                               "zero.f2elt": ZERO})
+                               "zero.f2elt": ZERO, "mixed_lambda.f2elt": MIXED_LAMBDA,
+                               "unit.f2elt": UNIT})
     for name, text in files.items():
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -233,7 +233,7 @@ class TestIsPrimitive:
         assert (1, element((1,))) in evidence.checked
 
     def test_rejects_inhomogeneous(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^element is not homogeneous$"):
             is_primitive(element((1, 0), (1, 1)))
 
 

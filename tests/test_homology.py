@@ -142,11 +142,11 @@ class TestWordDifferentialMemo:
         e = element((1,), (2,))
         homology._word_differential.cache_clear()
         for _ in range(2):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^element is not homogeneous$"):
                 is_cycle(e)
         is_cycle(element((1,)))
         is_cycle(element((2,)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^element is not homogeneous$"):
             is_cycle(e)
 
     def test_second_call_differentiates_nothing(self, monkeypatch):
@@ -183,6 +183,13 @@ class TestBoundaryWitness:
 
     def test_unit_not_a_boundary(self):
         assert boundary_witness(element(())) is None
+
+    def test_mixed_input_is_refused_before_normalize(self):
+        # lambda_0 lambda_1 normalizes to 0, leaving a homogeneous lambda_1
+        assert normalize(element((0, 1))) == ZERO
+        for r in (element((1,), (2,)), element((1,), (0, 1))):
+            with pytest.raises(ValueError, match=r"^element is not homogeneous$"):
+                boundary_witness(r)
 
     def test_soundness_on_random_boundaries(self):
         rng = random.Random(101)
@@ -335,14 +342,19 @@ class TestRankMemo:
         calls = counting_rows(monkeypatch)
         grid = [(s, t - s) for t in range(11) for s in range(t + 1)]
         dims = [ext_dimension(s, d) for s, d in grid]
-        # a cell with s > d reads its rank from (d, d)
-        words = sum(len(admissible_basis(s, d)) for s, d in grid if 1 <= d and s <= d)
+        # a cell with s >= d reads its rank from (d - 1, d)
+        words = sum(len(admissible_basis(s, d)) for s, d in grid if 1 <= d and s < d)
         assert calls[0] == words
         rank_out(40, 5)
         assert calls[0] == words
         ext_dimension.cache_clear()
         assert [ext_dimension(s, d) for s, d in grid] == dims
         assert calls[0] == words
+        for d in range(6, 9):
+            rank = rank_out(d - 1, d)
+            known = calls[0]
+            assert rank_out(d, d) == rank
+            assert calls[0] == known, d
 
     def test_stable_range_matches_oracle_in_any_order(self, fresh_caches):
         def oracle_rank(s, d):
@@ -352,7 +364,7 @@ class TestRankMemo:
             rows = oracles.image_rows(oracle_differential, admissible_words_brute(s, d), codomain)
             return rank_of_rows(rows, len(codomain))
 
-        cells = [(s, d) for d in range(6) for s in range(d + 1, 13)]
+        cells = [(s, d) for d in range(6) for s in range(max(d - 1, 0), 13)]
         expected = {(s, d): (oracle_rank(s, d), len(admissible_words_brute(s, d))
                              - oracle_rank(s, d) - oracle_rank(s - 1, d + 1))
                     for s, d in cells}
@@ -369,6 +381,11 @@ class TestRankMemo:
         assert ext_dimension(4, 10) == len(sl.basis) - rank_out(4, 10) - len(sl.boundaries)
         # only the outgoing differential of (4, 10) was new
         assert calls[0] == len(sl.basis)
+        # past the diagonal the incoming rank is stored under (d - 1, d)
+        slice_at(7, 3)
+        known = calls[0]
+        rank_out(6, 4)
+        assert calls[0] == known
 
 
 class TestRankPath:

@@ -68,7 +68,7 @@ class TestElementConstruction:
         assert bidegree(UNIT) == Bidegree(0, 0)
         assert is_homogeneous(element((1, 1), (2, 0)))
         assert not is_homogeneous(element((1,), (2,)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^element is not homogeneous$"):
             bidegree(element((1,), (2,)))
 
 
@@ -380,6 +380,8 @@ class TestConcurrency:
 class TestAdmissibleBasis:
     def test_examples(self):
         assert admissible_basis(1, 9) == ((9,),)
+        assert admissible_basis(1, 100) == ((100,),)
+        assert admissible_basis(1, 0) == ((0,),)
         assert admissible_basis(2, 2) == ((1, 1), (2, 0))
         assert admissible_basis(0, 0) == ((),)
         assert admissible_basis(0, 5) == ()

@@ -168,7 +168,6 @@ def is_primitive(e: GammaElement) -> PrimitivityEvidence:
     return PrimitivityEvidence(all(not img for _, img in checked), checked)
 
 
-@functools.cache
 def gamma_basis(s: int, d: int) -> tuple[GammaMonomial, ...]:
     """All exponent tuples of length s summing to d, descending lex order."""
     if s < 1:

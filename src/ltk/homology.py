@@ -133,7 +133,7 @@ def is_cycle(e: LambdaElement) -> bool:
     words' differentials, each read from a memo."""
     la.bidegree(e)  # refuses an element that is not homogeneous
     total: set = set()
-    for w in la._admissible_form(e):
+    for w in la.normalize(e):
         total ^= _word_differential(w)
     return not total
 

@@ -43,8 +43,8 @@ differential_rows differentiates basis words one at a time through the
 same Leibniz step and kernel, reusing one stack and one result set, and
 turns each differential straight into a bit row over the codomain basis.
 
-Input that is not admissible is normalized first: the relations span a
-two-sided ideal that d and sq0 preserve, so the answer is the same.
+product, d and sq0 call normalize, the one entry to the normal form, on
+their input: d and sq0 preserve the two-sided ideal the relations span.
 
 admissible_basis enumerates only the first s - 3 letters of each word
 (one when s = 3) and completes every prefix with a slice of a cached
@@ -180,18 +180,28 @@ def _rewrite(stack: _Stack, done: set[LambdaMonomial], last: int) -> None:
                 done.add(word)
 
 
+def _drain(stacks: dict[int, _Stack], done: set[LambdaMonomial]) -> LambdaElement:
+    """Rewrite each per-length stack into done; the normal form reached."""
+    for last, stack in stacks.items():
+        _rewrite(stack, done, last)
+    return frozenset(done)
+
+
 def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
     """Admissible normal form of e under the defining relations.
 
-    The strategy picks which violation each rewrite takes.  "leftmost",
-    the canonical order, classifies each word by its leftmost violation
-    and hands the rest to _rewrite, one word length at a time.
-    "rightmost" rewrites the rightmost violation of each word depth
-    first, scanning every word it makes; both reach the same normal form
-    (see the module docstring).
+    Admissible input is returned as it is: d, sq0 and products read the
+    same on an element and on its normal form.  The strategy picks which
+    violation each rewrite takes.  "leftmost", the canonical order,
+    classifies each word by its leftmost violation and hands the rest to
+    _rewrite, one word length at a time.  "rightmost" rewrites the
+    rightmost violation of each word depth first, scanning every word it
+    makes; both reach the same normal form (see the module docstring).
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if all(map(is_admissible, e)):
+        return e
     done: set[LambdaMonomial] = set()
     if strategy == "rightmost":
         words = list(e)
@@ -211,28 +221,17 @@ def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
             done ^= {w}
         else:
             stacks[len(w) - 1].append((w, i, i + 2))
-    for last, stack in stacks.items():
-        _rewrite(stack, done, last)
-    return frozenset(done)
-
-
-def _admissible_form(e: LambdaElement) -> LambdaElement:
-    """e itself if all its words are admissible, else its normal form.
-
-    The relations span a two-sided ideal that the differential and sq0
-    preserve, so d, sq0 and products read the same on e and on its
-    normal form."""
-    return e if all(map(is_admissible, e)) else normalize(e)
+    return _drain(stacks, done)
 
 
 def product(e1: LambdaElement, e2: LambdaElement) -> LambdaElement:
     """Bilinear concatenation, normalized.
 
-    A factor that is not admissible is normalized first.  The
-    concatenation of two admissible words can violate only at their
-    junction, so it enters the rewriting classified.
+    Each factor passes through normalize first.  The concatenation of
+    two admissible words can violate only at their junction, so it
+    enters the rewriting classified.
     """
-    e1, e2 = _admissible_form(e1), _admissible_form(e2)
+    e1, e2 = normalize(e1), normalize(e2)
     done: set[LambdaMonomial] = set()
     stacks: defaultdict[int, _Stack] = defaultdict(list)
     for w1 in e1:
@@ -246,9 +245,7 @@ def product(e1: LambdaElement, e2: LambdaElement) -> LambdaElement:
                 done.discard(word)
             else:
                 done.add(word)
-    for last, stack in stacks.items():
-        _rewrite(stack, done, last)
-    return frozenset(done)
+    return _drain(stacks, done)
 
 
 @functools.cache
@@ -290,16 +287,14 @@ def differential(e: LambdaElement) -> LambdaElement:
     """The differential, extended to words by the mod-2 Leibniz rule.
 
     Sends bidegree (s, d) to (s+1, d-1); squares to zero.  Each word's
-    Leibniz terms enter the rewriting classified (see _leibniz).  An
-    element that is not admissible is normalized first.
+    Leibniz terms enter the rewriting classified (see _leibniz).  The
+    element passes through normalize first.
     """
     done: set[LambdaMonomial] = set()
     stacks: defaultdict[int, _Stack] = defaultdict(list)
-    for w in _admissible_form(e):
+    for w in normalize(e):
         _leibniz(w, stacks[len(w)], done)
-    for last, stack in stacks.items():
-        _rewrite(stack, done, last)
-    return frozenset(done)
+    return _drain(stacks, done)
 
 
 def differential_rows(domain: Iterable[LambdaMonomial],
@@ -327,9 +322,9 @@ def sq0(e: LambdaElement) -> LambdaElement:
     Sends bidegree (s, d) to (s, 2d + s); commutes with the differential
     and with products.  It keeps admissible words admissible (b <= 2a
     gives 2b + 1 <= 2(2a + 1)) and is injective on words, so the image
-    of the normal form of e needs no rewriting.
+    of normalize(e) needs no rewriting.
     """
-    return frozenset(tuple(2 * t + 1 for t in w) for w in _admissible_form(e))
+    return frozenset(tuple(2 * t + 1 for t in w) for w in normalize(e))
 
 
 def _least_first(slots: int, remaining: int) -> int:

@@ -213,6 +213,8 @@ def transfer_image_dim(s: int, d: int, max_basis: Optional[int] = DEFAULT_MAX_BA
                        ) -> tuple[int, list[LambdaElement]]:
     """Dimension of the transfer image inside the cohomology at (s, d),
     with spanning cycle representatives."""
+    if s < 1:
+        raise ValueError("s must be at least 1")
     guard(max_basis, words=cells(s, d), monomials=[(s, d)])
     images = [psi(p) for p in dp.primitive_basis(s, d)]
     sl = homology.slice_at(s, d)
@@ -235,6 +237,8 @@ def find_preimage(s: int, target: LambdaElement,
     # a trivial class is hit by the zero element; prefer that canonical answer
     if homology.boundary_witness(target) is not None:
         return dp.ZERO
+    if s < 1:
+        raise ValueError("s must be at least 1")
     _, d = la.bidegree(target)
     guard(max_basis, monomials=[(s, d)])
     prims = dp.primitive_basis(s, d)

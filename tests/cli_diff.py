@@ -29,7 +29,7 @@ TIMEOUT_S = 600
 
 # input files written into the working directory; catalog entries are
 # read from the first tree's catalog_data
-CATALOG_INPUTS = ("u14", "u20", "u24", "h0", "c0", "d0")
+CATALOG_INPUTS = ("u14", "u20", "u24", "h0", "c0", "d0", "g1")
 # input file -> catalog entry and the letters appended to each of its
 # words: the targets h0d0 and h1h4c0 as raw concatenations, which
 # find-preimage normalizes
@@ -78,6 +78,8 @@ COMMANDS: list[list[str]] = [
     ["primitive-check", "--in", "mixed_degree.f2elt"],
     ["primitive-check", "--in", "mixed_degree.f2elt", "--format", "json"],
     ["find-preimage", "--s", "0", "--in", "unit.f2elt"],
+    ["find-preimage", "--s", "0", "--in", "zero.f2elt"],
+    ["transfer-image", "--s", "0", "--deg", "3"],
     ["steenrod", "--deg", "0", "--in", "u14.f2elt"],
     ["basis", "--s", "1", "--deg", "9"],
     ["homology", "--s", "1", "--deg", "1"],
@@ -139,6 +141,9 @@ COMMANDS: list[list[str]] = [
     ["transfer-image", "--s", "4", "--deg", "14", "--format", "json"],
     ["transfer-image", "--s", "4", "--deg", "17"],
     ["find-preimage", "--s", "4", "--in", "d0.f2elt"],
+    # g1 at (4,20) is a nonzero class outside the image of Tr_4
+    *[["find-preimage", "--s", "4", "--in", "g1.f2elt", *fmt]
+      for fmt in ([], ["--format", "json"])],
     # primitive_basis re-checks 965 and 641 kernel vectors here
     ["transfer-image", "--s", "5", "--deg", "22", "--format", "json"],
     ["primitive-basis", "--rank", "5", "--deg", "20"],

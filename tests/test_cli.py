@@ -269,6 +269,18 @@ class TestTransferCommands:
         assert out.strip() == "0"
         assert "trivial" in err
 
+    def test_find_preimage_of_a_class_outside_the_image(self, capture, tmp_path):
+        # g1 is a nonzero class at (4,20) that Tr_4 does not reach
+        path = write(tmp_path, "g1.f2elt",
+                      elements_io.serialize_lambda(catalog.entry("g1").element))
+        assert capture("find-preimage", "--s", "4", "--in", path) == (
+            FALSIFIED, "no primitive preimage exists\n", "")
+        code, out, err = capture("find-preimage", "--s", "4", "--in", path,
+                                 "--format", "json")
+        assert (code, err) == (FALSIFIED, "")
+        assert json.loads(out) == {"schema": 2, "found": False, "preimage": None,
+                                   "target_class_trivial": False}
+
     def test_find_preimage_non_cycle_is_usage_error(self, capture, tmp_path):
         path = write(tmp_path, "nc.f2elt", "L[2]")
         code, _, err = capture("find-preimage", "--s", "1", "--in", path)
@@ -646,14 +658,15 @@ class TestOneGuard:
         (["primitive-basis", "--rank", "0", "--deg", "3"], None, "rank must be at least 1"),
         (["primitive-basis", "--rank", "1", "--deg", "-5"], None,
          "degree must be non-negative"),
-        (["transfer-image", "--s", "0", "--deg", "0"], None, "rank must be at least 1"),
-        (["transfer-image", "--s", "-1", "--deg", "3"], None, "rank must be at least 1"),
-        (["find-preimage", "--s", "0"], "L[]", "rank must be at least 1"),
+        (["transfer-image", "--s", "0", "--deg", "0"], None, "s must be at least 1"),
+        (["transfer-image", "--s", "-1", "--deg", "3"], None, "s must be at least 1"),
+        (["find-preimage", "--s", "0"], "L[]", "s must be at least 1"),
     ], ids=["primitive-basis-rank", "primitive-basis-deg", "transfer-image-s0",
             "transfer-image-negative", "find-preimage"])
     def test_empty_monomial_cell_refused_by_the_command(self, capture, tmp_path, argv,
                                                         text, error):
-        # the guard counts the cell as empty; the basis itself names the fault
+        # the guard counts the cell as empty; the function that would build
+        # the basis names the fault in the command's own terms
         if text is not None:
             argv = [*argv, "--in", write(tmp_path, "unit.f2elt", text)]
         assert capture(*argv) == (USAGE, "", f"error: {error}\n")

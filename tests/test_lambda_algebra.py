@@ -138,9 +138,19 @@ class TestNormalize:
                           for _ in range(rng.randrange(1, 4))))
             assert normalize(e, "leftmost") == normalize(e, "rightmost")
 
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+    def test_admissible_input_returned_as_is(self, strategy):
+        rng = random.Random(59)
+        fixed = [ZERO, UNIT, element((3, 5)), element((8, 6, 4, 2), (12, 8, 0, 0))]
+        for e in fixed + [element(*rng.sample(admissible_basis(4, 20), 5))
+                          for _ in range(20)]:
+            assert normalize(e, strategy) is e
+
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            normalize(element((0, 2)), "middle")
+        # an admissible input too: the strategy is checked before it is returned
+        for e in (element((0, 2)), element((3, 5))):
+            with pytest.raises(ValueError):
+                normalize(e, "middle")
 
     def test_linear(self):
         rng = random.Random(53)

@@ -271,6 +271,11 @@ class TestTransferImage:
         with pytest.raises(ResourceLimitError):
             transfer_image_dim(5, 100, max_basis=DEFAULT_MAX_BASIS)
 
+    @pytest.mark.parametrize("s, d", [(0, 0), (0, 3), (-1, 3)])
+    def test_s_below_one_refused(self, s, d):
+        with pytest.raises(ValueError, match="^s must be at least 1$"):
+            transfer_image_dim(s, d)
+
     def test_guard_can_be_lifted_only_explicitly(self):
         dim, _ = transfer_image_dim(2, 3, max_basis=None)
         assert dim >= 0
@@ -308,6 +313,13 @@ class TestFindPreimage:
     def test_boundary_target_yields_zero_element(self):
         assert find_preimage(2, la.element((1, 0))) == dp.ZERO
         assert find_preimage(3, la.ZERO) == dp.ZERO
+        assert find_preimage(0, la.ZERO) == dp.ZERO
+
+    def test_nonzero_class_at_s0_refused(self):
+        # the unit is the nonzero class at (0, 0): refused where a rank-0
+        # primitive basis would be built
+        with pytest.raises(ValueError, match="^s must be at least 1$"):
+            find_preimage(0, la.UNIT)
 
     def test_non_cycle_rejected(self):
         with pytest.raises(homology.NotACycleError):

@@ -9,23 +9,48 @@ with bisect, so one question about a few words builds no index over a
 basis of thousands.  Witnesses are always re-verified by applying the
 differential before they are returned.
 
-Ext dimensions need ranks only, and take a path of their own.
-lambda_algebra.differential_rows turns each basis word straight into its
-bit row over the codomain basis, and rank_out eliminates those rows
-against their pivots alone: no tags are kept, so only the echelon rows
-are held.  The rank out of each bidegree is kept in a memo of plain
-ints, filled by slice_at or by rank_out, so each differential is
-computed at most once per process.  slice_at and transfer.find_preimage
-feed the same rows to a tagged span.
+Ext dimensions need ranks only, and take a path of their own: rank_out
+eliminates the rows of differential_rows against their pivots alone, so
+no tags are kept and only the echelon rows are held.  The rank out of
+each bidegree is kept in a memo of plain ints, filled by slice_at or by
+rank_out.  slice_at and transfer.find_preimage feed the same rows to a
+tagged span.
+
+differential_rows builds the row of an admissible word n T, first letter
+n, from d(n T) = d(lambda_n) T + lambda_n d(T).  Lambda(m), spanned by
+the admissible words with first letter below m, is a subcomplex, and the
+Hopf map H: Lambda(n+1) -> Lambda(2n+1), sending lambda_n T to T and
+Lambda(n) to 0, is a chain map: the EHP sequence Lambda(n) -> Lambda(n+1)
+-> Lambda(2n+1) of Curtis' algorithm.  T lies in Lambda(2n+1), so every
+word of d(T) starts at most at 2n and lambda_n d(T) is admissible as it
+stands: its row is the row of d(T), shifted to the block of the words
+that start with n in the sorted codomain.  As H commutes with d, the
+normal form of d(lambda_n) T, which is d(n T) less lambda_n d(T), lies in
+Lambda(n).  So only those terms are rewritten, and each word they reach
+must land before the block of n: one that does not would break the
+shift, and raises AssertionError.  The words are placed through an index
+of the codomain, built for each run of rows and dropped after it:
+bisect, over thousands of rows, cost a fifth of their time.
+
+The row of d(T) is read from the rows stored for the cell of T (_ROWS),
+packed as the positions of their bits, 2.6 a row on average over the
+cells s + d <= 21.  Each cell is built only as far as the cells that
+read it need, its words with first letter at most 2n, and to its end
+when its own rows are asked for; so every row is built at most once per
+process.  No basis is cached on the way: the cell asked for enumerates
+its words and its codomain afresh, and a cell read below another takes
+them from that one's block of n, the letter n stripped.
 
 For s >= d the rank out of (s, d) is the rank out of (d-1, d), so the
-memo keys only cells with s < d.  A word of degree d has at most d
-nonzero letters, all before its zeros, so the basis of (s, d) is that of
-(d-1, d) padded with s-d+1 zeros, plus lambda_1^d padded with s-d zeros;
-padding with zeros maps the basis of (d, d-1) onto that of (s+1, d-1).
+memo keys only cells with s < d, and the rows of (s, d), s > d, are kept
+as those of (d, d).  A word of degree d has at most d nonzero letters,
+all before its zeros, so the basis of (s, d) is that of (d-1, d) padded
+with s-d+1 zeros, plus lambda_1^d padded with s-d zeros; padding with
+zeros maps the basis of (d, d-1) onto that of (s+1, d-1).
 d(u 0^k) = d(u) 0^k, since d(lambda_0) = 0 and no pair (x, 0) is ever
 rewritten, and d(lambda_1^d) = 0: the matrix out of (s, d) is the one out
-of (d-1, d) with a zero row added.
+of (d-1, d) with a zero row added.  ext_dimension reads the size of each
+basis off the rows, so it enumerates none.
 
 is_cycle sums the differentials of an element's admissible words, each
 word's read from a memo (_word_differential).  d is linear and reads the
@@ -39,9 +64,13 @@ transfer image.  lambda_algebra.differential itself is not cached.
 from __future__ import annotations
 
 import functools
+import struct
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterator, Optional, Sequence
 
 from . import f2core, lambda_algebra as la
 from .lambda_algebra import LambdaElement, LambdaMonomial
@@ -77,6 +106,130 @@ def row(e: LambdaElement, basis: tuple[LambdaMonomial, ...]) -> int:
     return bits
 
 
+def differential_rows(s: int, d: int) -> Iterator[int]:
+    """The differential of each word of admissible_basis(s, d), in order,
+    as a bit row: bit i stands for word i of admissible_basis(s+1, d-1)."""
+    starts, cols = _whole_rows(s, d)
+    for k in range(len(starts) - 1):
+        bits = 0
+        for i in cols[starts[k]:starts[k + 1]]:
+            bits |= 1 << i
+        yield bits
+
+
+# the rows stored for a cell, for a leading run of its basis: (s, d) ->
+# (starts, cols) of packed ints, row i having its bits at the positions
+# cols[starts[i]:starts[i + 1]]; a cell with s > d is keyed by (d, d)
+_ROWS: dict[tuple[int, int], tuple[bytes, bytes]] = {}
+_WHOLE: set[tuple[int, int]] = set()  # the keys whose rows are all stored
+_STORING = threading.Lock()
+
+
+def _stored(s: int, d: int) -> tuple[bytes, bytes]:
+    return _ROWS.get((min(s, d), d), (bytes(4), b""))  # starts begins at 0
+
+
+def _rows(s: int, d: int) -> tuple[memoryview, memoryview]:
+    return tuple(memoryview(packed).cast("I") for packed in _stored(s, d))
+
+
+def _built(s: int, d: int) -> int:
+    """How many rows of the cell (s, d) are stored."""
+    return len(_stored(s, d)[0]) // 4 - 1
+
+
+def _whole_rows(s: int, d: int) -> tuple[memoryview, memoryview]:
+    """The rows of all of the basis (s, d), built where not yet stored;
+    the basis and its codomain are then enumerated afresh."""
+    if s < 0 or d < 0:
+        raise ValueError("bidegree components must be non-negative")
+    # padding with zeros carries the rows of (d, d) onto (s, d); a cell
+    # (s, 0) holds one word, the empty one or zeros, with d of it 0
+    s = min(s, d) if d else 1
+    if (s, d) not in _WHOLE:
+        words = la.enumerate_basis(s, d)
+        if _built(s, d) < len(words):
+            _extend(s, d, words, la.enumerate_basis(s + 1, d - 1) if d else ())
+        _WHOLE.add((s, d))
+    return _rows(s, d)
+
+
+def _extend(s: int, d: int, words: Sequence[LambdaMonomial],
+            codomain: Sequence[LambdaMonomial]) -> None:
+    """Store the rows of words, a leading run of whole first-letter blocks
+    of the basis (s, d), after those stored; codomain is a leading run of
+    the basis (s+1, d-1) that holds every word they reach.  The row of
+    n T joins the words of d(lambda_n) T, rewritten, to the row of d(T)
+    shifted into the block of n (module docstring)."""
+    starts, cols = map(bytearray, _stored(s, d))
+    # the stored rows end at a first-letter block, as every run read does
+    words = words[len(starts) // 4 - 1:]
+    done: set[LambdaMonomial] = set()
+    stack: la._Stack = []
+    push, rewrite = stack.append, la._rewrite
+    place = {w: i for i, w in enumerate(codomain)}.get
+    for n, block in groupby(words, itemgetter(0)):
+        # the rows of a block are packed at its end
+        offset = len(cols) // 4
+        new_starts: list[int] = []
+        new_cols: list[int] = []
+        mark, extend = new_starts.append, new_cols.extend
+        tails = [w[1:] for w in block]
+        start = bisect_left(codomain, (n,))
+        # a word starting with 0 is all zeros, and so is d(T); a word of
+        # one letter leaves T empty
+        if n and s > 1:
+            tail_starts, tail_cols = _tail_rows(n, tails, codomain, start)
+            tail_starts = tail_starts[:len(tails) + 1].tolist()
+            tail_cols = [start + i for i in tail_cols[:tail_starts[-1]]]
+        else:
+            tail_starts, tail_cols = (0,) * (len(tails) + 1), ()
+        pairs = [(pair, 2 * pair[1]) for pair in la._generator_differential(n)]
+        for k, tail in enumerate(tails):
+            hi = tail[0] if tail else -1  # a term violates at pair 1 if hi > 2b
+            for pair, twice in pairs:
+                word = pair + tail
+                if hi > twice:
+                    push((word, 1, s))
+                elif word in done:
+                    done.discard(word)
+                else:
+                    done.add(word)
+            if stack:
+                rewrite(stack, done, s)
+            if done:
+                row = [place(t, start) for t in done]
+                done.clear()
+                # a word not before the block of n lands on start or past it
+                if max(row) >= start:
+                    raise AssertionError(f"d(lambda_{n}) {tail} reaches a word "
+                                         f"from lambda_{n} on")
+                extend(row)
+            extend(tail_cols[tail_starts[k]:tail_starts[k + 1]])
+            mark(offset + len(new_cols))
+        starts += struct.pack(f"{len(new_starts)}I", *new_starts)
+        cols += struct.pack(f"{len(new_cols)}I", *new_cols)
+    # new objects, so the views _rows handed out stay valid; every run of
+    # rows stored leads the same rows, so the longest stays, whichever
+    # thread stored one in the meantime
+    with _STORING:
+        if len(starts) > len(_stored(s, d)[0]):
+            _ROWS[min(s, d), d] = (bytes(starts), bytes(cols))
+
+
+def _tail_rows(n: int, tails: list[LambdaMonomial], codomain: Sequence[LambdaMonomial],
+               start: int) -> tuple[memoryview, memoryview]:
+    """The rows stored for the cell of tails, built as far as tails go.
+    The tails T of the block of n are the words of their cell with first
+    letter at most 2n, so their differentials lie in Lambda(2n + 1): in
+    the block of n of codomain, behind the letter n."""
+    s, d = len(tails[0]), sum(tails[0])
+    if _built(s, d) < len(tails):
+        end = bisect_left(codomain, (n + 1,), start)
+        _extend(s, d, tails, [w[1:] for w in codomain[start:end]])
+    return _rows(s, d)
+
+
 # rank of the differential out of (s, d), into (s+1, d-1); only ints are
 # kept, since a cached span or slice would hold its bases in memory
 _RANK_OUT: dict[tuple[int, int], int] = {}
@@ -91,8 +244,7 @@ def rank_out(s: int, d: int) -> int:
     rank = _RANK_OUT.get((s, d))
     if rank is None:
         pivots: dict[int, int] = {}  # top bit -> echelon row
-        for row in la.differential_rows(la.admissible_basis(s, d),
-                                        la.admissible_basis(s + 1, d - 1)):
+        for row in differential_rows(s, d):
             while row:
                 top = row.bit_length() - 1
                 pivot = pivots.get(top)
@@ -111,7 +263,7 @@ def slice_at(s: int, d: int) -> BidegreeSlice:
     basis = la.admissible_basis(s, d)
     prev_basis = la.admissible_basis(s - 1, d + 1) if s >= 1 else ()
     boundaries = f2core.Span()
-    for i, row in enumerate(la.differential_rows(prev_basis, basis)):
+    for i, row in enumerate(differential_rows(s - 1, d + 1) if s >= 1 else ()):
         boundaries.add(row, 1 << i)
     if s >= 1:
         _RANK_OUT[min(s - 1, d), d + 1] = len(boundaries)
@@ -170,7 +322,12 @@ def ext_dimension(s: int, d: int) -> int:
     """
     if s < 0 or d < 0:
         raise ValueError("bidegree components must be non-negative")
-    return len(la.admissible_basis(s, d)) - rank_out(s, d) - rank_out(s - 1, d + 1)
+    if d == 0:
+        return 1  # the word of s zeros: d(lambda_1 0^(s-1)) = 0, no boundary
+    # the basis of (s, d), s >= d, is that of (d - 1, d) padded with a zero,
+    # and the word of d ones
+    size = len(_whole_rows(min(s, d - 1), d)[0]) - 1 + (s >= d)
+    return size - rank_out(s, d) - rank_out(s - 1, d + 1)
 
 
 def _require_cycle(e: LambdaElement) -> LambdaElement:

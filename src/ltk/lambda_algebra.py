@@ -39,9 +39,9 @@ of summing and scanning them, and sq0 of admissible words skips it:
 - sq0 maps admissible words to admissible words, because b <= 2a gives
   2b + 1 <= 2(2a + 1).
 
-differential_rows differentiates basis words one at a time through the
-same Leibniz step and kernel, reusing one stack and one result set, and
-turns each differential straight into a bit row over the codomain basis.
+homology.differential_rows, which builds the Ext rows, hands the kernel
+only the terms d(lambda_n) T of a basis word n T: as for a Leibniz term
+with no head, each can violate only at the pair (j-1, T[0]).
 
 product, d and sq0 call normalize, the one entry to the normal form, on
 their input: d and sq0 preserve the two-sided ideal the relations span.
@@ -52,7 +52,8 @@ basis of at most three letters.  Those tables hold O(d^3) words up to
 degree d, fewer than one five-letter basis of degree d (1,359 against
 2,163 at d = 24, 5,321 against 14,273 at d = 40); caching the suffixes
 of every length would hold more words than the basis asked for.  For
-s > d the basis is that of (d, d) padded with zeros.
+s > d the basis is that of (d, d) padded with zeros.  enumerate_basis
+is the same enumeration, its answer not cached.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from collections import defaultdict
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .f2core import binom_mod2
 
@@ -102,10 +103,6 @@ def bidegree(e: LambdaElement) -> Optional[Bidegree]:
     if len(degs) > 1:
         raise ValueError("element is not homogeneous")
     return degs.pop()
-
-
-def is_homogeneous(e: LambdaElement) -> bool:
-    return len({monomial_bidegree(m) for m in e}) <= 1
 
 
 def is_admissible(m: LambdaMonomial) -> bool:
@@ -297,25 +294,6 @@ def differential(e: LambdaElement) -> LambdaElement:
     return _drain(stacks, done)
 
 
-def differential_rows(domain: Iterable[LambdaMonomial],
-                      codomain: tuple[LambdaMonomial, ...]) -> Iterator[int]:
-    """The differential of each admissible word of domain, in order, as a
-    bit row: bit i stands for codomain[i], which must hold every word
-    the differentials reach.  One done set and one stack serve every
-    word, and no element is built."""
-    index = {w: i for i, w in enumerate(codomain)}
-    done: set[LambdaMonomial] = set()
-    stack: _Stack = []
-    for w in domain:
-        _leibniz(w, stack, done)
-        _rewrite(stack, done, len(w))
-        bits = 0
-        for t in done:
-            bits |= 1 << index[t]
-        done.clear()
-        yield bits
-
-
 def sq0(e: LambdaElement) -> LambdaElement:
     """The squaring endomorphism: every index t becomes 2t + 1.
 
@@ -336,18 +314,26 @@ def _least_first(slots: int, remaining: int) -> int:
 
 @functools.cache
 def admissible_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
-    """All admissible words of length s and degree d, in ascending lex order.
+    """All admissible words of length s and degree d, in ascending lex
+    order: enumerate_basis, cached, and a basis of at most three letters
+    shared with _suffixes."""
+    return (_suffixes if s <= 3 else enumerate_basis)(s, d)
+
+
+def enumerate_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
+    """All admissible words of length s and degree d, in ascending lex
+    order, enumerated afresh.
 
     A word of degree d has at most d nonzero letters, all before its
     zeros, so for s > d the basis is that of (d, d) padded with zeros.
     Two-letter bases are listed directly, several times faster than the
     enumerator builds them.  Otherwise the first s - k letters are
     enumerated, k = min(s - 1, 3), and each prefix ending in t is
-    completed by the words of the cached basis (k, r) whose first letter
-    is at most 2t: a leading slice of it, since the basis is sorted.  At
-    s = 1, k = 0 and the one letter d is completed by the empty word of
-    (0, 0).  So a basis with s <= d caches no other basis of more than
-    three letters on the way.
+    completed by the words of the basis (k, r) whose first letter is at
+    most 2t: a leading slice of it, since the basis is sorted.  At s = 1,
+    k = 0 and the one letter d is completed by the empty word of (0, 0).
+    Those bases of at most three letters are the only ones cached on the
+    way, in _suffixes.
     """
     if s < 0 or d < 0:
         raise ValueError("bidegree components must be non-negative")
@@ -355,7 +341,7 @@ def admissible_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
         return () if d else ((),)
     if s > d:
         pad = (0,) * (s - d)
-        return tuple(w + pad for w in admissible_basis(d, d))
+        return tuple(w + pad for w in enumerate_basis(d, d))
     if s == 2:
         # any first letter t >= d / 3 leaves an admissible last letter
         return tuple((t, d - t) for t in range(_least_first(2, d), d + 1))
@@ -368,7 +354,7 @@ def admissible_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
             if slots > 1:
                 extend(prefix + (t,), 2 * t, remaining - t, slots - 1, out)
             else:
-                suffixes = admissible_basis(k, remaining - t)
+                suffixes = _suffixes(k, remaining - t)
                 # the words that start above 2t are those from (2t + 1,) on
                 end = bisect_left(suffixes, (2 * t + 1,))
                 out.extend(map((prefix + (t,)).__add__, suffixes[:end]))
@@ -376,6 +362,11 @@ def admissible_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
     words: list[LambdaMonomial] = []
     extend((), d, d, s - k, words)
     return tuple(words)
+
+
+# the bases of at most three letters that enumerate_basis completes
+# prefixes with
+_suffixes = functools.cache(enumerate_basis)
 
 
 @functools.cache

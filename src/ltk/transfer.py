@@ -135,6 +135,15 @@ class DetectionReport:
     failed_checks: tuple[str, ...]
 
 
+def _is_cycle(e: LambdaElement) -> bool:
+    """homology.is_cycle, with an element that is not homogeneous, which
+    it refuses, counted as no cycle."""
+    try:
+        return homology.is_cycle(e)
+    except ValueError:
+        return False
+
+
 def verify_detection(u: CatalogEntry, target: LambdaElement,
                      expected_dim: Optional[int] = None,
                      target_name: str = "") -> DetectionReport:
@@ -163,8 +172,10 @@ def verify_detection(u: CatalogEntry, target: LambdaElement,
     except ValueError:
         evidence = PrimitivityEvidence(False, ())
     image = psi(u.element)
-    cycle_ok = la.is_homogeneous(image) and homology.is_cycle(image)
-    target_is_cycle = la.is_homogeneous(target) and homology.is_cycle(target)
+    # before any slice: the slices then read the rows Ext stored
+    ext_dim = None if expected_dim is None else homology.ext_dimension(s, d)
+    cycle_ok = _is_cycle(image)
+    target_is_cycle = _is_cycle(target)
     # the target is a normalized cycle already: class_nonzero would
     # check both again
     target_nonzero = (homology.boundary_witness(target) is None
@@ -172,14 +183,16 @@ def verify_detection(u: CatalogEntry, target: LambdaElement,
 
     same: Optional[bool] = None
     witness: Optional[LambdaElement] = None
+    # a cycle is homogeneous, so any one word gives its bidegree
     if (cycle_ok and target_is_cycle
-            and (not image or not target or la.bidegree(image) == la.bidegree(target))):
+            and (not image or not target
+                 or la.monomial_bidegree(next(iter(image)))
+                 == la.monomial_bidegree(next(iter(target))))):
         # what same_class(image, target) returns, without checking again
         # that both are normalized cycles of one bidegree
         witness = homology.boundary_witness(image ^ target)
         same = witness is not None
 
-    ext_dim = None if expected_dim is None else homology.ext_dimension(s, d)
     # the verdict's sub-checks, in the order a falsified report names them
     fails = tuple(name for name, ok in (
         ("primitive", evidence.holds),
@@ -249,7 +262,7 @@ def find_preimage(s: int, target: LambdaElement,
     span = f2core.Span()
     for i, image in enumerate(images):
         span.add(homology.row(image, sl.basis), 1 << i)
-    for row in la.differential_rows(sl.prev_basis, sl.basis):
+    for row in homology.differential_rows(s - 1, d + 1):
         span.add(row)
     residual, x = span.reduce(homology.row(target, sl.basis))
     if residual:

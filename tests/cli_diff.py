@@ -129,6 +129,8 @@ COMMANDS: list[list[str]] = [
     *[["homology", "--s", s, "--deg", d, *fmt]
       for s, d in (("5", "20"), ("5", "24"), ("4", "20"), ("6", "30"))
       for fmt in ([], ["--format", "json"])],
+    # the t = s + d = 21 diagonal, the last of the benchmark's chart
+    *[["homology", "--s", str(s), "--deg", str(21 - s)] for s in range(22)],
     # s > d: the basis of (d, d) padded with zeros, and its rank
     ["homology", "--s", "12", "--deg", "5"],
     ["homology", "--s", "6", "--deg", "6"],

@@ -215,6 +215,22 @@ class TestVerify:
             assert out == elements_io.emit_report(report, fmt) + "\n"
             assert err == f"failed: {', '.join(failed)}\n"
 
+    def test_mixed_image_names_cycle_in_every_output(self, capture, tmp_path):
+        # psi(a(1,1,1,3,7)) is one word of degree 13, the image of u14 of 14
+        u14 = catalog.entry("u14").element
+        text = elements_io.serialize_gamma(u14 | {(1, 1, 1, 3, 7)})
+        path = write(tmp_path, "mixed_image.f2elt", text)
+        failed = ("primitive", "cycle", "class-equality")
+        code, out, err = capture("verify", "--class", "h0d0", "--in", path)
+        assert code == FALSIFIED
+        assert out.splitlines()[-1] == f"failed checks:  {', '.join(failed)}"
+        assert err == f"failed: {', '.join(failed)}\n"
+        code, out, json_err = capture("verify", "--class", "h0d0", "--in", path,
+                                      "--format", "json")
+        assert code == FALSIFIED
+        assert json.loads(out)["failed_checks"] == list(failed)
+        assert json_err == err
+
     def test_verify_custom_input_wrong_degree(self, capture, tmp_path):
         path = write(tmp_path, "short.f2elt", "a(0,6,5,1,1)")
         code, out, err = capture("verify", "--class", "h0d0", "--in", path)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -291,9 +292,12 @@ class TestExtDimension:
 
 @pytest.fixture()
 def fresh_caches():
-    """Empty the rank memo and the caches that read or fill it."""
+    """Empty the rank memo, the stored rows and the caches that read or
+    fill them."""
     def clear():
         homology._RANK_OUT.clear()
+        homology._ROWS.clear()
+        homology._WHOLE.clear()
         slice_at.cache_clear()
         ext_dimension.cache_clear()
     clear()
@@ -301,19 +305,19 @@ def fresh_caches():
     clear()
 
 
-def counting_rows(monkeypatch) -> list[int]:
-    """Count the words that lambda_algebra.differential_rows differentiates."""
-    calls = [0]
-    inner = lambda_algebra.differential_rows
+def counting_rows(monkeypatch) -> dict:
+    """Record the rows stored for each cell after each _extend."""
+    built: dict = {}
+    inner = homology._extend
 
-    def counted(domain, codomain):
-        def words():
-            for w in domain:
-                calls[0] += 1
-                yield w
-        return inner(words(), codomain)
-    monkeypatch.setattr(lambda_algebra, "differential_rows", counted)
-    return calls
+    def counted(s, d, words, codomain):
+        key = (min(s, d), d)
+        # rows are only ever added, by _extend, after those stored
+        assert homology._built(s, d) == built.get(key, 0), key
+        inner(s, d, words, codomain)
+        built[key] = homology._built(s, d)
+    monkeypatch.setattr(homology, "_extend", counted)
+    return built
 
 
 class TestRankMemo:
@@ -339,22 +343,27 @@ class TestRankMemo:
             assert ext_dimension(*cell) == expected[cell], cell
 
     def test_each_word_differentiated_once(self, fresh_caches, monkeypatch):
-        calls = counting_rows(monkeypatch)
+        # each cell's rows are built at most once per process: a row built
+        # again would make its cell longer than its basis
+        built = counting_rows(monkeypatch)
         grid = [(s, t - s) for t in range(11) for s in range(t + 1)]
         dims = [ext_dimension(s, d) for s, d in grid]
-        # a cell with s >= d reads its rank from (d - 1, d)
-        words = sum(len(admissible_basis(s, d)) for s, d in grid if 1 <= d and s < d)
-        assert calls[0] == words
+        # a cell with s >= d reads its rank from (d - 1, d), whose rows are
+        # all built; a cell read only below a larger one, up to some letter
+        for s, d in grid:
+            if 1 <= d and s < d:
+                assert built.get((s, d), 0) == len(admissible_basis(s, d)), (s, d)
+        assert all(n <= len(admissible_basis(*key)) for key, n in built.items())
+        known = dict(built)
         rank_out(40, 5)
-        assert calls[0] == words
         ext_dimension.cache_clear()
         assert [ext_dimension(s, d) for s, d in grid] == dims
-        assert calls[0] == words
+        assert built == known
         for d in range(6, 9):
             rank = rank_out(d - 1, d)
-            known = calls[0]
+            known = dict(built)
             assert rank_out(d, d) == rank
-            assert calls[0] == known, d
+            assert built == known, d
 
     def test_stable_range_matches_oracle_in_any_order(self, fresh_caches):
         def oracle_rank(s, d):
@@ -377,15 +386,25 @@ class TestRankMemo:
 
     def test_slice_fills_the_incoming_rank(self, fresh_caches, monkeypatch):
         sl = slice_at(4, 10)
-        calls = counting_rows(monkeypatch)
+        built = counting_rows(monkeypatch)
         assert ext_dimension(4, 10) == len(sl.basis) - rank_out(4, 10) - len(sl.boundaries)
-        # only the outgoing differential of (4, 10) was new
-        assert calls[0] == len(sl.basis)
+        # only the outgoing differential of (4, 10) was new: the rows of
+        # (3, 11) are not built again, and the cells below (4, 10) only as
+        # far as it reads them
+        assert (3, 11) not in built
+        assert built[4, 10] == len(sl.basis)
+        assert all(s == 3 and d < 10 for s, d in built if (s, d) != (4, 10))
         # past the diagonal the incoming rank is stored under (d - 1, d)
         slice_at(7, 3)
-        known = calls[0]
+        known = dict(built)
         rank_out(6, 4)
-        assert calls[0] == known
+        assert built == known
+
+    def test_padded_cells_enumerate_no_basis(self, fresh_caches):
+        # s > d: the size is counted, and the ranks read from (d - 1, d)
+        admissible_basis.cache_clear()
+        assert ext_dimension(12, 5) == 0
+        assert admissible_basis.cache_info().currsize == 0
 
 
 class TestRankPath:
@@ -394,13 +413,13 @@ class TestRankPath:
 
     # every chart cell (s + d <= 21) and the next three diagonals, where a
     # rewrite that stops its scan one pair short first goes wrong
-    CELLS = [(s, t - s) for t in range(25) for s in range(t)]
+    CELLS = [(s, t - s) for t in range(25) for s in range(t + 1)]
 
     def test_rows_match_the_differential_and_ranks_match_a_span(self, fresh_caches):
         for s, d in self.CELLS:
             domain = admissible_basis(s, d)
-            codomain = admissible_basis(s + 1, d - 1)
-            rows = list(lambda_algebra.differential_rows(domain, codomain))
+            codomain = admissible_basis(s + 1, d - 1) if d else ()
+            rows = list(homology.differential_rows(s, d))
             # each word's differential, placed in the codomain basis
             assert rows == [homology.row(differential(frozenset({w})), codomain)
                             for w in domain], (s, d)
@@ -409,12 +428,50 @@ class TestRankPath:
                 span.add(row)
             assert rank_out(s, d) == len(span), (s, d)
 
-    def test_rows_take_any_iterable_of_admissible_words(self):
-        codomain = admissible_basis(3, 9)
-        domain = admissible_basis(2, 10)
-        assert (list(lambda_algebra.differential_rows(iter(domain), codomain))
-                == list(lambda_algebra.differential_rows(domain, codomain)))
-        assert list(lambda_algebra.differential_rows((), codomain)) == []
+    def test_rows_do_not_depend_on_the_order_cells_are_built(self, fresh_caches):
+        # a cell read below a larger one is built only up to a letter, and
+        # completed when it is asked for itself
+        cells = [(s, t - s) for t in range(4, 19) for s in range(1, t)]
+        expected = {cell: list(homology.differential_rows(*cell)) for cell in cells}
+        rng = random.Random(31)
+        for _ in range(3):
+            homology._ROWS.clear()
+            homology._WHOLE.clear()
+            rng.shuffle(cells)
+            for cell in cells:
+                assert list(homology.differential_rows(*cell)) == expected[cell], cell
+
+    def test_threads_building_the_same_cells_agree(self, fresh_caches):
+        # threads extend the same cells at once; a stale store that cut a
+        # cell's rows short would show as a missing or wrong row
+        from concurrent.futures import ThreadPoolExecutor
+
+        cells = [(s, t - s) for t in range(8, 17) for s in range(2, 6)]
+        expected = {cell: list(homology.differential_rows(*cell)) for cell in cells}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(3):
+                homology._ROWS.clear()
+                homology._WHOLE.clear()
+                orders = [random.Random(seed * 8 + i).sample(cells, len(cells))
+                          for i in range(8)]
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(
+                        lambda order: {c: list(homology.differential_rows(*c)) for c in order},
+                        orders, timeout=60))
+                assert all(rows == expected for rows in got)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_first_letter_term_reaching_its_own_block_is_refused(
+            self, fresh_caches, monkeypatch):
+        # d(lambda_n) T must stay below the block of n, where the shifted
+        # row of d(T) lands; a term starting with n itself breaks that
+        monkeypatch.setattr(lambda_algebra, "_generator_differential",
+                            lambda n: ((n, 0),) if n else ())
+        with pytest.raises(AssertionError, match=r"^d\(lambda_\d+\) .* reaches"):
+            list(homology.differential_rows(2, 4))
 
 
 class TestSameClass:

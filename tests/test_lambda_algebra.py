@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 import time
 
@@ -16,7 +17,6 @@ from ltk.lambda_algebra import (
     differential,
     element,
     is_admissible,
-    is_homogeneous,
     monomial_bidegree,
     normalize,
     product,
@@ -66,8 +66,7 @@ class TestElementConstruction:
         assert monomial_bidegree((3, 5)) == Bidegree(2, 8)
         assert bidegree(ZERO) is None
         assert bidegree(UNIT) == Bidegree(0, 0)
-        assert is_homogeneous(element((1, 1), (2, 0)))
-        assert not is_homogeneous(element((1,), (2,)))
+        assert bidegree(element((1, 1), (2, 0))) == Bidegree(2, 2)
         with pytest.raises(ValueError, match=r"^element is not homogeneous$"):
             bidegree(element((1,), (2,)))
 
@@ -413,18 +412,21 @@ class TestAdmissibleBasis:
 
     def test_only_suffix_tables_are_cached(self, monkeypatch):
         # the bases a long basis is built from have at most three letters,
-        # so the cache holds O(d^3) words besides the answer
-        inner = lambda_algebra.admissible_basis
+        # so the caches hold O(d^3) words besides the answer
         calls = []
+        suffixes = functools.cache(lambda_algebra.enumerate_basis)
 
         def recorded(s, d):
             calls.append((s, d))
-            return inner(s, d)
-        monkeypatch.setattr(lambda_algebra, "admissible_basis", recorded)
-        inner.cache_clear()
-        assert len(recorded(6, 40)) == 65363
-        assert calls[0] == (6, 40) and {s for s, _ in calls[1:]} <= {0, 1, 2, 3}
-        assert inner.cache_info().currsize == len(set(calls))
+            return suffixes(s, d)
+        monkeypatch.setattr(lambda_algebra, "_suffixes", recorded)
+        admissible_basis.cache_clear()
+        assert len(admissible_basis(6, 40)) == 65363
+        assert calls and {s for s, _ in calls} <= {0, 1, 2, 3}
+        assert admissible_basis.cache_info().currsize == 1
+        # enumerated afresh, a basis is cached nowhere
+        assert lambda_algebra.enumerate_basis(6, 40) == admissible_basis(6, 40)
+        assert admissible_basis.cache_info().currsize == 1
 
     def test_count_matches_enumeration(self):
         for s in range(0, 7):

@@ -183,6 +183,43 @@ class TestVerifyDetection:
         assert verify_detection(u14, target, expected_dim=1).ext_dim == 1
         assert calls == [(5, 14)]
 
+    def test_ext_computed_before_any_slice(self, monkeypatch):
+        # the slices then read the rows Ext stored
+        calls = []
+        ext_dimension, slice_at = homology.ext_dimension, homology.slice_at
+        monkeypatch.setattr(homology, "ext_dimension",
+                            lambda s, d: calls.append("ext") or ext_dimension(s, d))
+        monkeypatch.setattr(homology, "slice_at",
+                            lambda s, d: calls.append("slice") or slice_at(s, d))
+        u14 = catalog.entry("u14")
+        target = la.product(catalog.entry("d0").element, catalog.entry("h0").element)
+        assert verify_detection(u14, target, expected_dim=1).verdict == "verified"
+        assert calls[0] == "ext" and "slice" in calls
+
+    def test_homogeneity_checked_once_per_element(self, monkeypatch):
+        # is_cycle refuses a mixed element; its bidegree is then any word's
+        checked = []
+        bidegree = la.bidegree
+        monkeypatch.setattr(la, "bidegree", lambda e: checked.append(e) or bidegree(e))
+        u14 = catalog.entry("u14")
+        target = la.product(catalog.entry("d0").element, catalog.entry("h0").element)
+        report = verify_detection(u14, target, expected_dim=1)
+        assert report.verdict == "verified"
+        assert checked.count(report.psi_image) == 1
+        # is_cycle and then boundary_witness, which stands on its own
+        assert checked.count(report.target) == 2
+
+    def test_mixed_image_is_no_cycle(self):
+        # psi(a(1,1,1,3,7)) is one word of degree 13
+        u = gamma_entry("mixed", catalog.entry("u14").element | {(1, 1, 1, 3, 7)}, 5, 14)
+        image = psi(u.element)
+        with pytest.raises(ValueError, match=r"^element is not homogeneous$"):
+            la.bidegree(image)
+        report = verify_detection(u, la.product(catalog.entry("d0").element,
+                                                catalog.entry("h0").element))
+        assert not report.cycle_ok and report.same_class_ok is None
+        assert "cycle" in report.failed_checks
+
     def test_zero_inputs_are_trivial(self):
         report = verify_detection(gamma_entry("zero", dp.ZERO, 5, 14), la.ZERO)
         assert report.verdict == "trivial"

@@ -202,7 +202,7 @@ def _cmd_primitive_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_primitive_basis(args: argparse.Namespace) -> int:
-    transfer.guard(args.max_basis, monomials=[(args.rank, args.deg)])
+    transfer.guard(args.max_basis, primitives=[(args.rank, args.deg)])
     basis = dp.primitive_basis(args.rank, args.deg)
     _emit_basis(args, basis, elements_io.serialize_gamma)
     return OK
@@ -283,6 +283,11 @@ def run(argv: list[str]) -> int:
     except transfer.ResourceLimitError as exc:
         hint = "; pass --force to proceed" if "force" in args else ""
         print(f"resource limit: {exc}{hint}", file=sys.stderr)
+        return USAGE
+    except (MemoryError, RecursionError) as exc:
+        # the interpreter ran out, not the cap: --force cannot help
+        limit = "out of memory" if isinstance(exc, MemoryError) else "recursion too deep"
+        print(f"resource limit: {limit}", file=sys.stderr)
         return USAGE
     except (elements_io.ParseError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

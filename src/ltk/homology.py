@@ -37,9 +37,10 @@ packed as the positions of their bits, 2.6 a row on average over the
 cells s + d <= 21.  Each cell is built only as far as the cells that
 read it need, its words with first letter at most 2n, and to its end
 when its own rows are asked for; so every row is built at most once per
-process.  No basis is cached on the way: the cell asked for enumerates
-its words and its codomain afresh, and a cell read below another takes
-them from that one's block of n, the letter n stripped.
+process.  No basis is cached on the way, nor anywhere but in the slices
+slice_at keeps: the cell asked for enumerates its words and its codomain
+afresh, and a cell read below another takes them from that one's block
+of n, the letter n stripped.
 
 For s >= d the rank out of (s, d) is the rank out of (d-1, d), so the
 memo keys only cells with s < d, and the rows of (s, d), s > d, are kept
@@ -147,9 +148,9 @@ def _whole_rows(s: int, d: int) -> tuple[memoryview, memoryview]:
     # (s, 0) holds one word, the empty one or zeros, with d of it 0
     s = min(s, d) if d else 1
     if (s, d) not in _WHOLE:
-        words = la.enumerate_basis(s, d)
+        words = la.admissible_basis(s, d)
         if _built(s, d) < len(words):
-            _extend(s, d, words, la.enumerate_basis(s + 1, d - 1) if d else ())
+            _extend(s, d, words, la.admissible_basis(s + 1, d - 1) if d else ())
         _WHOLE.add((s, d))
     return _rows(s, d)
 

@@ -46,14 +46,15 @@ with no head, each can violate only at the pair (j-1, T[0]).
 product, d and sq0 call normalize, the one entry to the normal form, on
 their input: d and sq0 preserve the two-sided ideal the relations span.
 
-admissible_basis enumerates only the first s - 3 letters of each word
-(one when s = 3) and completes every prefix with a slice of a cached
-basis of at most three letters.  Those tables hold O(d^3) words up to
-degree d, fewer than one five-letter basis of degree d (1,359 against
-2,163 at d = 24, 5,321 against 14,273 at d = 40); caching the suffixes
-of every length would hold more words than the basis asked for.  For
-s > d the basis is that of (d, d) padded with zeros.  enumerate_basis
-is the same enumeration, its answer not cached.
+admissible_basis, the one enumeration of a basis, enumerates only the
+first s - 3 letters of each word (one when s = 3) and completes every
+prefix with a slice of a cached basis of at most three letters.  Those
+tables (_suffixes, the one basis memo) hold O(d^3) words up to degree d,
+fewer than one five-letter basis of degree d (1,359 against 2,163 at
+d = 24, 5,321 against 14,273 at d = 40); caching the suffixes of every
+length would hold more words than the basis asked for, and caching the
+answers would hold bases that no caller asks for twice.  For s > d the
+basis is that of (d, d) padded with zeros.
 """
 
 from __future__ import annotations
@@ -312,17 +313,9 @@ def _least_first(slots: int, remaining: int) -> int:
     return -(-remaining // ((1 << slots) - 1))
 
 
-@functools.cache
 def admissible_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
     """All admissible words of length s and degree d, in ascending lex
-    order: enumerate_basis, cached, and a basis of at most three letters
-    shared with _suffixes."""
-    return (_suffixes if s <= 3 else enumerate_basis)(s, d)
-
-
-def enumerate_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
-    """All admissible words of length s and degree d, in ascending lex
-    order, enumerated afresh.
+    order, enumerated afresh: the answer is not cached.
 
     A word of degree d has at most d nonzero letters, all before its
     zeros, so for s > d the basis is that of (d, d) padded with zeros.
@@ -332,8 +325,8 @@ def enumerate_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
     completed by the words of the basis (k, r) whose first letter is at
     most 2t: a leading slice of it, since the basis is sorted.  At s = 1,
     k = 0 and the one letter d is completed by the empty word of (0, 0).
-    Those bases of at most three letters are the only ones cached on the
-    way, in _suffixes.
+    Those bases of at most three letters are the only ones cached, in
+    _suffixes.
     """
     if s < 0 or d < 0:
         raise ValueError("bidegree components must be non-negative")
@@ -341,7 +334,7 @@ def enumerate_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
         return () if d else ((),)
     if s > d:
         pad = (0,) * (s - d)
-        return tuple(w + pad for w in enumerate_basis(d, d))
+        return tuple(w + pad for w in admissible_basis(d, d))
     if s == 2:
         # any first letter t >= d / 3 leaves an admissible last letter
         return tuple((t, d - t) for t in range(_least_first(2, d), d + 1))
@@ -364,9 +357,9 @@ def enumerate_basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
     return tuple(words)
 
 
-# the bases of at most three letters that enumerate_basis completes
-# prefixes with
-_suffixes = functools.cache(enumerate_basis)
+# the bases of at most three letters that admissible_basis completes
+# prefixes with, the one basis memo
+_suffixes = functools.cache(admissible_basis)
 
 
 @functools.cache

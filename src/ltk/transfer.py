@@ -45,17 +45,21 @@ def cells(s: int, d: int) -> tuple[tuple[int, int], ...]:
 
 
 def guard(max_basis: Optional[int], words: Iterable[tuple[int, int]] = (),
-          monomials: Iterable[tuple[int, int]] = ()) -> None:
+          monomials: Iterable[tuple[int, int]] = (),
+          primitives: Iterable[tuple[int, int]] = ()) -> None:
     """Refuse a basis over max_basis before anything is enumerated: the
-    divided-power monomials at each (rank, degree) in monomials, then
-    the admissible words at each (s, d) in words.  A cell with a
-    negative component, or of rank below 1, is empty.  Words longer than
-    the larger of max_basis and DEFAULT_MAX_BASIS are refused however
-    few they are: their letters fill memory as words do.  None lifts the
-    cap."""
+    divided-power monomials at each (rank, degree) in monomials and in
+    primitives, then the admissible words at each (s, d) in words, then,
+    for each cell in primitives, the image monomials that primitive_basis
+    numbers: those at (rank, degree - i), for each generator square Sq^i
+    of the degree.  A cell with a negative component, or of rank below 1,
+    is empty.  Words longer than the larger of max_basis and
+    DEFAULT_MAX_BASIS are refused however few they are: their letters
+    fill memory as words do.  None lifts the cap."""
     if max_basis is None:
         return
-    for s, d in sorted(set(monomials)):
+    primitives = set(primitives)
+    for s, d in sorted(primitives.union(monomials)):
         if s < 1 or d < 0:
             continue
         # C(n, k) >= 2^k when n >= 2k, so a wide basis is over the cap
@@ -72,6 +76,14 @@ def guard(max_basis: Optional[int], words: Iterable[tuple[int, int]] = (),
         if la.admissible_count(s, d, max_basis) > max_basis:
             raise ResourceLimitError(f"admissible basis at ({s}, {d}) has more "
                                      f"than {max_basis} words")
+    for s, d in sorted(primitives):
+        if s < 1 or d < 0:
+            continue
+        # each term is at most the domain's count, which passed above
+        size = sum(comb(d - i + s - 1, s - 1) for i in dp._generator_squares(d))
+        if size > max_basis:
+            raise ResourceLimitError(f"Steenrod images at rank {s}, degree {d} "
+                                     f"have {size} monomials (cap {max_basis})")
 
 
 @functools.cache
@@ -228,7 +240,7 @@ def transfer_image_dim(s: int, d: int, max_basis: Optional[int] = DEFAULT_MAX_BA
     with spanning cycle representatives."""
     if s < 1:
         raise ValueError("s must be at least 1")
-    guard(max_basis, words=cells(s, d), monomials=[(s, d)])
+    guard(max_basis, words=cells(s, d), primitives=[(s, d)])
     images = [psi(p) for p in dp.primitive_basis(s, d)]
     sl = homology.slice_at(s, d)
     span = sl.boundaries.copy()
@@ -253,7 +265,7 @@ def find_preimage(s: int, target: LambdaElement,
     if s < 1:
         raise ValueError("s must be at least 1")
     _, d = la.bidegree(target)
-    guard(max_basis, monomials=[(s, d)])
+    guard(max_basis, primitives=[(s, d)])
     prims = dp.primitive_basis(s, d)
     images = [psi(p) for p in prims]
     sl = homology.slice_at(s, d)

@@ -23,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from typing import Optional
 
 RUN = "import sys; from ltk.cli import run; sys.exit(run(sys.argv[1:]))"
 TIMEOUT_S = 600
@@ -155,6 +156,10 @@ COMMANDS: list[list[str]] = [
       for fmt in ([], ["--format", "json"])],
     *[["basis", "--s", s, "--deg", d]
       for s, d in (("3", "7"), ("6", "20"), ("0", "3"), ("4", "0"))],
+    # bases of at most three letters, the sizes the suffix tables hold
+    ["basis", "--s", "2", "--deg", "9", "--format", "json"],
+    ["basis", "--s", "3", "--deg", "12"],
+    ["basis", "--s", "1", "--deg", "0"],
     *[["normalize", "--in", name] for name in MALFORMED],
     *[["psi", "--in", name] for name in MALFORMED],
     ["psi", "--rank", "3", "--in", "mixed.f2elt"],
@@ -195,13 +200,18 @@ def write_inputs(tree: str, workdir: str) -> None:
             fh.write(text)
 
 
-def run(tree: str, argv: list[str], workdir: str) -> tuple[tuple[int, str, str], float]:
-    """The command's exit code, stdout and stderr, and its wall seconds."""
+def run(tree: str, argv: list[str], workdir: str
+        ) -> tuple[Optional[tuple[int, str, str]], float]:
+    """The command's exit code, stdout and stderr, or None if it ran past
+    TIMEOUT_S, and its wall seconds."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(tree))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", RUN, *argv], cwd=workdir, env=env,
-                          stdin=subprocess.DEVNULL, capture_output=True,
-                          text=True, encoding="utf-8", timeout=TIMEOUT_S)
+    try:
+        done = subprocess.run([sys.executable, "-c", RUN, *argv], cwd=workdir, env=env,
+                              stdin=subprocess.DEVNULL, capture_output=True,
+                              text=True, encoding="utf-8", timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, time.perf_counter() - start
     return (done.returncode, done.stdout, done.stderr), time.perf_counter() - start
 
 
@@ -232,10 +242,16 @@ def main(argv: list[str]) -> int:
             new, new_t = run(new_tree, cmd, workdir)
             old_s += old_t
             new_s += new_t
-            if old == new:
+            # a command that timed out differs, even from another timeout
+            if old == new and old is not None:
                 continue
             differ += 1
             print(f"DIFFERS: ltk {' '.join(cmd)}")
+            if old is None or new is None:
+                for label, result in (("old", old), ("new", new)):
+                    if result is None:
+                        print(f"  {label} timed out after {TIMEOUT_S} s")
+                continue
             if old[0] != new[0]:
                 print(f"  exit code {old[0]} -> {new[0]}")
             for label, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import time
 
 import pytest
@@ -443,6 +444,31 @@ class TestGammaGuard:
         assert capture(*argv, "--in", path) == (OK, want, "")
 
 
+class TestInterpreterLimits:
+    """Input that the guard passes but the interpreter cannot hold exits 2
+    with one line, and no --force hint: the cap did not refuse it."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["psi"], "a(" + ",".join(["0"] * 500) + ")"),
+        (["primitive-basis", "--rank", "2000", "--deg", "0"], None),
+        (["transfer-image", "--s", "2000", "--deg", "0"], None),
+    ], ids=["psi", "primitive-basis", "transfer-image"])
+    def test_deep_recursion_is_a_resource_error(self, capture, tmp_path, argv, text):
+        if text is not None:
+            argv = [*argv, "--in", write(tmp_path, "deep.f2elt", text)]
+        start = time.perf_counter()
+        got = capture(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert got == (USAGE, "", "resource limit: recursion too deep\n")
+
+    def test_memory_error_is_a_resource_error(self, capture, monkeypatch):
+        def exhausted(s, d):
+            raise MemoryError
+        monkeypatch.setattr(cli.la, "admissible_basis", exhausted)
+        assert capture("basis", "--s", "3", "--deg", "7") == (
+            USAGE, "", "resource limit: out of memory\n")
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capture):
         code, _, _ = capture("frobnicate")
@@ -498,6 +524,21 @@ class TestConsecutiveRuns:
             homology._word_differential.cache_clear()
             cli._class_target.cache_clear()
             assert capture(*cmd) == capture(*cmd), cmd
+
+
+class TestCliDiff:
+    def test_a_timeout_is_reported_as_differing(self, capsys, monkeypatch):
+        # a command that hangs on one side must not abort the comparison
+        def hung(argv, **kwargs):
+            raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+        monkeypatch.setattr(cli_diff.subprocess, "run", hung)
+        monkeypatch.setattr(cli_diff, "COMMANDS", [["basis", "--s", "1", "--deg", "0"]])
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        assert cli_diff.main([src, src]) == 1
+        out = capsys.readouterr().out
+        assert "DIFFERS: ltk basis --s 1 --deg 0\n" in out
+        assert f"  old timed out after {cli_diff.TIMEOUT_S} s\n" in out
+        assert "1 commands, 1 differ\n" in out
 
 
 # the flags each subcommand takes besides --format
@@ -633,6 +674,24 @@ class TestOneGuard:
         assert err == ("resource limit: monomial basis at rank 1000000000, degree "
                        "1000000000 has more than 200000 elements (cap 200000); "
                        "pass --force to proceed\n")
+
+    @pytest.mark.parametrize("argv, count", [
+        (["primitive-basis", "--rank", "2", "--deg", "100000"],
+         "rank 2, degree 100000 have 1534481"),
+        (["primitive-basis", "--rank", "3", "--deg", "600"],
+         "rank 3, degree 600 have 1364433"),
+        (["transfer-image", "--s", "5", "--deg", "34"],
+         "rank 5, degree 34 have 206046"),
+    ], ids=["primitive-basis-2", "primitive-basis-3", "transfer-image"])
+    def test_steenrod_images_refused_quickly(self, capture, argv, count):
+        # the domain passes the cap, but primitive_basis numbers the images
+        # under every generator square too; without the count the first
+        # runs for minutes and the second fills memory
+        start = time.perf_counter()
+        got = capture(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert got == (USAGE, "", f"resource limit: Steenrod images at {count} "
+                                  "monomials (cap 200000); pass --force to proceed\n")
 
     @pytest.mark.parametrize("argv, code, want", [
         (["primitive-check"], FALSIFIED, "not primitive\n"),

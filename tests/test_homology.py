@@ -400,11 +400,21 @@ class TestRankMemo:
         rank_out(6, 4)
         assert built == known
 
-    def test_padded_cells_enumerate_no_basis(self, fresh_caches):
-        # s > d: the size is counted, and the ranks read from (d - 1, d)
-        admissible_basis.cache_clear()
+    def test_padded_cells_enumerate_no_basis(self, fresh_caches, monkeypatch):
+        # s > d: the size is counted, and the ranks read from (d - 1, d),
+        # so once the cells below the diagonal are built nothing is
+        # enumerated
+        rank_out(4, 5)
+        rank_out(5, 6)
+        calls = []
+        inner = lambda_algebra.admissible_basis
+
+        def counted(s, d):
+            calls.append((s, d))
+            return inner(s, d)
+        monkeypatch.setattr(lambda_algebra, "admissible_basis", counted)
         assert ext_dimension(12, 5) == 0
-        assert admissible_basis.cache_info().currsize == 0
+        assert calls == []
 
 
 class TestRankPath:

@@ -403,6 +403,50 @@ class TestGuard:
                     else:
                         assert not over, (cap, s, d)
 
+    def test_steenrod_images_counted_after_the_domain_and_the_words(self):
+        # primitive_basis numbers the images of (5, 14) under Sq^1, Sq^2
+        # and Sq^4: 2,380 + 1,820 + 1,001 monomials, beside 3,060 in the
+        # domain
+        with pytest.raises(ResourceLimitError) as err:
+            guard(5200, primitives=[(5, 14)])
+        assert str(err.value) == ("Steenrod images at rank 5, degree 14 have 5201 "
+                                  "monomials (cap 5200)")
+        guard(5201, primitives=[(5, 14)])
+        with pytest.raises(ResourceLimitError) as err:
+            guard(3059, primitives=[(5, 14)])
+        assert str(err.value) == ("monomial basis at rank 5, degree 14 has 3060 "
+                                  "elements (cap 3059)")
+        with pytest.raises(ResourceLimitError) as err:
+            guard(5200, words=[(7, 40)], primitives=[(5, 14)])
+        assert str(err.value) == "admissible basis at (7, 40) has more than 5200 words"
+        guard(None, primitives=[(2, 100000), (3, 600)])
+
+    def test_steenrod_images_refused_exactly_over_the_cap(self):
+        for cap in (0, 1, 5, 17, 100):
+            for s in range(1, 8):
+                for d in range(12):
+                    images = sum(len(dp.gamma_basis(s, d - i))
+                                 for i in dp._generator_squares(d))
+                    over = max(comb(d + s - 1, s - 1), images) > cap
+                    try:
+                        guard(cap, primitives=[(s, d)])
+                    except ResourceLimitError:
+                        assert over, (cap, s, d)
+                    else:
+                        assert not over, (cap, s, d)
+
+    @pytest.mark.parametrize("call", [
+        lambda cap: transfer_image_dim(5, 14, max_basis=cap),
+        lambda cap: find_preimage(5, la.product(catalog.entry("d0").element,
+                                                catalog.entry("h0").element),
+                                  max_basis=cap),
+    ], ids=["transfer_image_dim", "find_preimage"])
+    def test_library_counts_the_steenrod_images(self, call):
+        with pytest.raises(ResourceLimitError) as err:
+            call(5200)
+        assert str(err.value).startswith("Steenrod images at rank 5, degree 14 ")
+        assert call(5201)
+
     def test_empty_cells_pass(self):
         guard(0, words=[(-1, 3), (10**7, -1)], monomials=[(0, 3), (1, -5), (-1, 3)])
 

@@ -12,9 +12,8 @@ differential before they are returned.
 Ext dimensions need ranks only, and take a path of their own: rank_out
 eliminates the rows of differential_rows against their pivots alone, so
 no tags are kept and only the echelon rows are held.  The rank out of
-each bidegree is kept in a memo of plain ints, filled by slice_at or by
-rank_out.  slice_at and transfer.find_preimage feed the same rows to a
-tagged span.
+each bidegree is kept in a memo of plain ints, filled by rank_out.
+slice_at and transfer.find_preimage feed the same rows to a tagged span.
 
 differential_rows builds the row of an admissible word n T, first letter
 n, from d(n T) = d(lambda_n) T + lambda_n d(T).  Lambda(m), spanned by
@@ -33,7 +32,7 @@ of the codomain, built for each run of rows and dropped after it:
 bisect, over thousands of rows, cost a fifth of their time.
 
 The row of d(T) is read from the rows stored for the cell of T (_ROWS),
-packed as the positions of their bits, 2.6 a row on average over the
+arrays of the positions of their bits, 2.6 a row on average over the
 cells s + d <= 21.  Each cell is built only as far as the cells that
 read it need, its words with first letter at most 2n, and to its end
 when its own rows are asked for; so every row is built at most once per
@@ -65,8 +64,8 @@ transfer image.  lambda_algebra.differential itself is not cached.
 from __future__ import annotations
 
 import functools
-import struct
 import threading
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
@@ -119,27 +118,25 @@ def differential_rows(s: int, d: int) -> Iterator[int]:
 
 
 # the rows stored for a cell, for a leading run of its basis: (s, d) ->
-# (starts, cols) of packed ints, row i having its bits at the positions
-# cols[starts[i]:starts[i + 1]]; a cell with s > d is keyed by (d, d)
-_ROWS: dict[tuple[int, int], tuple[bytes, bytes]] = {}
+# (starts, cols), two array("I"), row i having its bits at the positions
+# cols[starts[i]:starts[i + 1]]; a cell with s > d is keyed by (d, d).  A
+# stored pair is never changed: _extend stores a longer copy in its place
+_ROWS: dict[tuple[int, int], tuple[array, array]] = {}
 _WHOLE: set[tuple[int, int]] = set()  # the keys whose rows are all stored
 _STORING = threading.Lock()
+_NO_ROWS = (array("I", [0]), array("I"))  # no rows: starts begins at 0
 
 
-def _stored(s: int, d: int) -> tuple[bytes, bytes]:
-    return _ROWS.get((min(s, d), d), (bytes(4), b""))  # starts begins at 0
-
-
-def _rows(s: int, d: int) -> tuple[memoryview, memoryview]:
-    return tuple(memoryview(packed).cast("I") for packed in _stored(s, d))
+def _stored(s: int, d: int) -> tuple[array, array]:
+    return _ROWS.get((min(s, d), d), _NO_ROWS)
 
 
 def _built(s: int, d: int) -> int:
     """How many rows of the cell (s, d) are stored."""
-    return len(_stored(s, d)[0]) // 4 - 1
+    return len(_stored(s, d)[0]) - 1
 
 
-def _whole_rows(s: int, d: int) -> tuple[memoryview, memoryview]:
+def _whole_rows(s: int, d: int) -> tuple[array, array]:
     """The rows of all of the basis (s, d), built where not yet stored;
     the basis and its codomain are then enumerated afresh."""
     if s < 0 or d < 0:
@@ -152,7 +149,7 @@ def _whole_rows(s: int, d: int) -> tuple[memoryview, memoryview]:
         if _built(s, d) < len(words):
             _extend(s, d, words, la.admissible_basis(s + 1, d - 1) if d else ())
         _WHOLE.add((s, d))
-    return _rows(s, d)
+    return _stored(s, d)
 
 
 def _extend(s: int, d: int, words: Sequence[LambdaMonomial],
@@ -162,27 +159,22 @@ def _extend(s: int, d: int, words: Sequence[LambdaMonomial],
     the basis (s+1, d-1) that holds every word they reach.  The row of
     n T joins the words of d(lambda_n) T, rewritten, to the row of d(T)
     shifted into the block of n (module docstring)."""
-    starts, cols = map(bytearray, _stored(s, d))
+    # a copy, as a stored pair is never changed
+    starts, cols = (run[:] for run in _stored(s, d))
     # the stored rows end at a first-letter block, as every run read does
-    words = words[len(starts) // 4 - 1:]
+    words = words[len(starts) - 1:]
     done: set[LambdaMonomial] = set()
     stack: la._Stack = []
     push, rewrite = stack.append, la._rewrite
     place = {w: i for i, w in enumerate(codomain)}.get
     for n, block in groupby(words, itemgetter(0)):
-        # the rows of a block are packed at its end
-        offset = len(cols) // 4
-        new_starts: list[int] = []
-        new_cols: list[int] = []
-        mark, extend = new_starts.append, new_cols.extend
         tails = [w[1:] for w in block]
         start = bisect_left(codomain, (n,))
         # a word starting with 0 is all zeros, and so is d(T); a word of
         # one letter leaves T empty
         if n and s > 1:
             tail_starts, tail_cols = _tail_rows(n, tails, codomain, start)
-            tail_starts = tail_starts[:len(tails) + 1].tolist()
-            tail_cols = [start + i for i in tail_cols[:tail_starts[-1]]]
+            tail_cols = [start + i for i in tail_cols[:tail_starts[len(tails)]]]
         else:
             tail_starts, tail_cols = (0,) * (len(tails) + 1), ()
         pairs = [(pair, 2 * pair[1]) for pair in la._generator_differential(n)]
@@ -205,21 +197,18 @@ def _extend(s: int, d: int, words: Sequence[LambdaMonomial],
                 if max(row) >= start:
                     raise AssertionError(f"d(lambda_{n}) {tail} reaches a word "
                                          f"from lambda_{n} on")
-                extend(row)
-            extend(tail_cols[tail_starts[k]:tail_starts[k + 1]])
-            mark(offset + len(new_cols))
-        starts += struct.pack(f"{len(new_starts)}I", *new_starts)
-        cols += struct.pack(f"{len(new_cols)}I", *new_cols)
-    # new objects, so the views _rows handed out stay valid; every run of
-    # rows stored leads the same rows, so the longest stays, whichever
-    # thread stored one in the meantime
+                cols.extend(row)
+            cols.extend(tail_cols[tail_starts[k]:tail_starts[k + 1]])
+            starts.append(len(cols))
+    # every run of rows stored leads the same rows, so the longest stays,
+    # whichever thread stored one in the meantime
     with _STORING:
         if len(starts) > len(_stored(s, d)[0]):
-            _ROWS[min(s, d), d] = (bytes(starts), bytes(cols))
+            _ROWS[min(s, d), d] = starts, cols
 
 
 def _tail_rows(n: int, tails: list[LambdaMonomial], codomain: Sequence[LambdaMonomial],
-               start: int) -> tuple[memoryview, memoryview]:
+               start: int) -> tuple[array, array]:
     """The rows stored for the cell of tails, built as far as tails go.
     The tails T of the block of n are the words of their cell with first
     letter at most 2n, so their differentials lie in Lambda(2n + 1): in
@@ -228,7 +217,7 @@ def _tail_rows(n: int, tails: list[LambdaMonomial], codomain: Sequence[LambdaMon
     if _built(s, d) < len(tails):
         end = bisect_left(codomain, (n + 1,), start)
         _extend(s, d, tails, [w[1:] for w in codomain[start:end]])
-    return _rows(s, d)
+    return _stored(s, d)
 
 
 # rank of the differential out of (s, d), into (s+1, d-1); only ints are
@@ -259,15 +248,12 @@ def rank_out(s: int, d: int) -> int:
 
 @functools.cache
 def slice_at(s: int, d: int) -> BidegreeSlice:
-    """Build (and cache) the chain slice at bidegree (s, d), recording
-    the rank of its boundaries as rank_out(s - 1, d + 1)."""
+    """Build (and cache) the chain slice at bidegree (s, d)."""
     basis = la.admissible_basis(s, d)
     prev_basis = la.admissible_basis(s - 1, d + 1) if s >= 1 else ()
     boundaries = f2core.Span()
     for i, row in enumerate(differential_rows(s - 1, d + 1) if s >= 1 else ()):
         boundaries.add(row, 1 << i)
-    if s >= 1:
-        _RANK_OUT[min(s - 1, d), d + 1] = len(boundaries)
     return BidegreeSlice(
         basis=basis,
         prev_basis=prev_basis,

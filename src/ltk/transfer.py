@@ -252,6 +252,8 @@ def find_preimage(s: int, target: LambdaElement,
                   max_basis: Optional[int] = DEFAULT_MAX_BASIS) -> Optional[GammaElement]:
     """A primitive element whose image is homologous to the target cycle,
     or None if no such element exists."""
+    if s < 1:
+        raise ValueError("s must be at least 1")
     # each raw word is counted before normalize rewrites it
     guard(max_basis, words=[c for w in target for c in cells(len(w), sum(w))])
     target = la.normalize(target)
@@ -262,8 +264,6 @@ def find_preimage(s: int, target: LambdaElement,
     # a trivial class is hit by the zero element; prefer that canonical answer
     if homology.boundary_witness(target) is not None:
         return dp.ZERO
-    if s < 1:
-        raise ValueError("s must be at least 1")
     _, d = la.bidegree(target)
     guard(max_basis, primitives=[(s, d)])
     prims = dp.primitive_basis(s, d)

@@ -10,12 +10,14 @@ prints each command whose stdout, stderr or exit code differs, with a
 diff, and exits 1 if any differs, 0 if none does.  Output is canonical,
 so any difference is a change of behaviour.  A last line gives each
 tree's total wall seconds over all commands, interpreter start-up
-included, and the next the number of lines in each tree's ltk/*.py.
-Standard library only.
+included, the next the number of lines in each tree's ltk/*.py, and the
+last its code lines: lines that hold a token, less blank, comment and
+docstring lines.  Standard library only.
 """
 
 from __future__ import annotations
 
+import ast
 import difflib
 import glob
 import os
@@ -23,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from typing import Optional
 
 RUN = "import sys; from ltk.cli import run; sys.exit(run(sys.argv[1:]))"
@@ -229,6 +232,31 @@ def _lines(tree: str) -> int:
     return total
 
 
+# tokens that hold no code of their own
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+          tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def _code_lines(tree: str) -> int:
+    """The number of code lines in the tree's ltk/*.py: lines that hold a
+    token, less the lines of docstrings.  A string that spans lines holds
+    each of them."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "ltk", "*.py")):
+        with open(path, "rb") as fh:
+            lines = {n for tok in tokenize.tokenize(fh.readline) if tok.type not in LAYOUT
+                     for n in range(tok.start[0], tok.end[0] + 1)}
+            fh.seek(0)
+            module = ast.parse(fh.read())
+        for node in ast.walk(module):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) and ast.get_docstring(node, False):
+                doc = node.body[0]
+                lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+        total += len(lines)
+    return total
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -260,6 +288,8 @@ def main(argv: list[str]) -> int:
     print(f"{len(COMMANDS)} commands, {differ} differ")
     print(f"wall seconds, all commands: old {old_s:.2f}, new {new_s:.2f}")
     print(f"lines in ltk/*.py: old {_lines(old_tree)}, new {_lines(new_tree)}")
+    print(f"code lines in ltk/*.py: old {_code_lines(old_tree)}, "
+          f"new {_code_lines(new_tree)}")
     return 1 if differ else 0
 
 

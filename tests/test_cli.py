@@ -540,6 +540,25 @@ class TestCliDiff:
         assert f"  old timed out after {cli_diff.TIMEOUT_S} s\n" in out
         assert "1 commands, 1 differ\n" in out
 
+    def test_code_lines_skip_blanks_comments_and_docstrings(self, tmp_path):
+        (tmp_path / "ltk").mkdir()
+        (tmp_path / "ltk" / "a.py").write_text(
+            '"""A module docstring\nover two lines."""\n'
+            "\n"
+            "# a comment\n"
+            "X = 1  # a trailing comment\n"
+            'Y = """a string\nover two lines"""\n'
+            "\n"
+            "\n"
+            "class C:\n"
+            '    """A class docstring."""\n'
+            "    def f(self):\n"
+            "        '''A method docstring.'''\n"
+            "        return X\n", encoding="utf-8")
+        assert cli_diff._lines(str(tmp_path)) == 14
+        # X, the two lines of Y, class, def and return
+        assert cli_diff._code_lines(str(tmp_path)) == 6
+
 
 # the flags each subcommand takes besides --format
 FLAGS = {
@@ -736,8 +755,12 @@ class TestOneGuard:
         (["transfer-image", "--s", "0", "--deg", "0"], None, "s must be at least 1"),
         (["transfer-image", "--s", "-1", "--deg", "3"], None, "s must be at least 1"),
         (["find-preimage", "--s", "0"], "L[]", "s must be at least 1"),
+        # zero is a trivial class at every s, but s < 1 is refused first
+        (["find-preimage", "--s", "0"], "0", "s must be at least 1"),
+        (["find-preimage", "--s", "-3"], "0", "s must be at least 1"),
     ], ids=["primitive-basis-rank", "primitive-basis-deg", "transfer-image-s0",
-            "transfer-image-negative", "find-preimage"])
+            "transfer-image-negative", "find-preimage", "find-preimage-zero-s0",
+            "find-preimage-zero-negative"])
     def test_empty_monomial_cell_refused_by_the_command(self, capture, tmp_path, argv,
                                                         text, error):
         # the guard counts the cell as empty; the function that would build

@@ -338,7 +338,8 @@ class TestRankMemo:
         rng.shuffle(cells)
         for cell in cells:
             if with_slices:
-                # slice_at fills the memo from the other side
+                # slice_at stores the rows into a cell, which rank_out then
+                # reads without building them again
                 slice_at(*rng.choice(self.GRID))
             assert ext_dimension(*cell) == expected[cell], cell
 
@@ -380,25 +381,31 @@ class TestRankMemo:
         rng = random.Random(17)
         rng.shuffle(cells)
         for s, d in cells:
-            # slice_at fills the memo from the other side
+            # slice_at stores the rows into a cell, which rank_out then
+            # reads without building them again
             slice_at(*rng.choice(cells))
             assert (rank_out(s, d), ext_dimension(s, d)) == expected[s, d], (s, d)
 
-    def test_slice_fills_the_incoming_rank(self, fresh_caches, monkeypatch):
+    def test_slice_leaves_the_memo_and_its_rows_give_the_incoming_rank(
+            self, fresh_caches, monkeypatch):
+        # rank_out is the memo's one writer: a slice stores the rows into
+        # its cell, and rank_out reads them later
         sl = slice_at(4, 10)
+        assert homology._RANK_OUT == {}
         built = counting_rows(monkeypatch)
         assert ext_dimension(4, 10) == len(sl.basis) - rank_out(4, 10) - len(sl.boundaries)
-        # only the outgoing differential of (4, 10) was new: the rows of
-        # (3, 11) are not built again, and the cells below (4, 10) only as
+        assert homology._RANK_OUT[3, 11] == len(sl.boundaries)
+        # the rows of (3, 11) are not built again, the outgoing rows of
+        # (4, 10) are new, and the cells below (4, 10) are built only as
         # far as it reads them
         assert (3, 11) not in built
         assert built[4, 10] == len(sl.basis)
         assert all(s == 3 and d < 10 for s, d in built if (s, d) != (4, 10))
-        # past the diagonal the incoming rank is stored under (d - 1, d)
-        slice_at(7, 3)
-        known = dict(built)
-        rank_out(6, 4)
-        assert built == known
+        # past the diagonal the incoming rank is the rank out of (d - 1, d)
+        known = dict(homology._RANK_OUT)
+        sl = slice_at(7, 3)
+        assert homology._RANK_OUT == known
+        assert rank_out(6, 4) == len(sl.boundaries) == homology._RANK_OUT[3, 4]
 
     def test_padded_cells_enumerate_no_basis(self, fresh_caches, monkeypatch):
         # s > d: the size is counted, and the ranks read from (d - 1, d),
@@ -450,6 +457,19 @@ class TestRankPath:
             rng.shuffle(cells)
             for cell in cells:
                 assert list(homology.differential_rows(*cell)) == expected[cell], cell
+
+    def test_a_stored_run_never_changes(self, fresh_caches):
+        # (3, 8) is built part way as the tails of (4, 10), then whole;
+        # the whole run is stored as a new pair, and the kept one stays
+        list(homology.differential_rows(4, 10))
+        kept = homology._stored(3, 8)
+        before = [list(run) for run in kept]
+        assert 0 < homology._built(3, 8) < len(admissible_basis(3, 8))
+        list(homology.differential_rows(3, 8))
+        assert [list(run) for run in kept] == before
+        whole = homology._stored(3, 8)
+        assert len(whole[0]) == len(admissible_basis(3, 8)) + 1
+        assert [list(run[:len(old)]) for run, old in zip(whole, before)] == before
 
     def test_threads_building_the_same_cells_agree(self, fresh_caches):
         # threads extend the same cells at once; a stale store that cut a

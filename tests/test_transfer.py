@@ -350,13 +350,18 @@ class TestFindPreimage:
     def test_boundary_target_yields_zero_element(self):
         assert find_preimage(2, la.element((1, 0))) == dp.ZERO
         assert find_preimage(3, la.ZERO) == dp.ZERO
-        assert find_preimage(0, la.ZERO) == dp.ZERO
 
     def test_nonzero_class_at_s0_refused(self):
         # the unit is the nonzero class at (0, 0): refused where a rank-0
         # primitive basis would be built
         with pytest.raises(ValueError, match="^s must be at least 1$"):
             find_preimage(0, la.UNIT)
+
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_zero_target_below_s1_refused(self, s):
+        # zero is a trivial class at every s, but s < 1 is refused first
+        with pytest.raises(ValueError, match="^s must be at least 1$"):
+            find_preimage(s, la.ZERO)
 
     def test_non_cycle_rejected(self):
         with pytest.raises(homology.NotACycleError):

@@ -10,10 +10,11 @@ basis of thousands.  Witnesses are always re-verified by applying the
 differential before they are returned.
 
 Ext dimensions need ranks only, and take a path of their own: rank_out
-eliminates the rows of differential_rows against their pivots alone, so
-no tags are kept and only the echelon rows are held.  The rank out of
-each bidegree is kept in a memo of plain ints, filled by rank_out.
-slice_at and transfer.find_preimage feed the same rows to a tagged span.
+eliminates the stored rows, read straight off their arrays, against
+their pivots alone, so no tags are kept and only the echelon rows are
+held.  The rank out of each bidegree is kept in a memo of plain ints,
+filled by rank_out.  slice_at and transfer.find_preimage feed the same
+rows, through differential_rows, to a tagged span.
 
 differential_rows builds the row of an admissible word n T, first letter
 n, from d(n T) = d(lambda_n) T + lambda_n d(T).  Lambda(m), spanned by
@@ -36,10 +37,15 @@ arrays of the positions of their bits, 2.6 a row on average over the
 cells s + d <= 21.  Each cell is built only as far as the cells that
 read it need, its words with first letter at most 2n, and to its end
 when its own rows are asked for; so every row is built at most once per
-process.  No basis is cached on the way, nor anywhere but in the slices
-slice_at keeps: the cell asked for enumerates its words and its codomain
-afresh, and a cell read below another takes them from that one's block
-of n, the letter n stripped.
+process.  No basis is cached but in the slices slice_at keeps and in one
+slot, _CARRIED: a cell built whole leaves its codomain there, and the
+next cell built takes its words from the slot if they are its own (the
+next cell on the diagonal in a chart pass, s ascending, and the basis of
+slice_at, which builds its boundary rows first) and enumerates them
+otherwise.  Each build takes or drops the slot before it enumerates, so
+no stale basis is held while the next is built.  A cell read below
+another takes its words and codomain from that one's block of n, the
+letter n stripped.
 
 For s >= d the rank out of (s, d) is the rank out of (d-1, d), so the
 memo keys only cells with s < d, and the rows of (s, d), s > d, are kept
@@ -136,18 +142,39 @@ def _built(s: int, d: int) -> int:
     return len(_stored(s, d)[0]) - 1
 
 
+# the codomain _whole_rows enumerated last, ((s, d), words) in one tuple
+# so that no reader pairs one cell's key with another's words.  A basis
+# is a pure function of its bidegree: a carried one can be stale in
+# memory, never wrong
+_CARRIED: Optional[tuple[tuple[int, int], tuple[LambdaMonomial, ...]]] = None
+
+
+def _basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
+    """admissible_basis(s, d), taken from the slot if it holds that
+    basis; the slot is emptied either way."""
+    global _CARRIED
+    carried, _CARRIED = _CARRIED, None
+    if carried is not None and carried[0] == (s, d):
+        return carried[1]
+    return la.admissible_basis(s, d)
+
+
 def _whole_rows(s: int, d: int) -> tuple[array, array]:
     """The rows of all of the basis (s, d), built where not yet stored;
-    the basis and its codomain are then enumerated afresh."""
+    the basis is then taken through _basis, and the codomain enumerated
+    and left in the slot for the next cell on the diagonal."""
+    global _CARRIED
     if s < 0 or d < 0:
         raise ValueError("bidegree components must be non-negative")
     # padding with zeros carries the rows of (d, d) onto (s, d); a cell
     # (s, 0) holds one word, the empty one or zeros, with d of it 0
     s = min(s, d) if d else 1
     if (s, d) not in _WHOLE:
-        words = la.admissible_basis(s, d)
+        words = _basis(s, d)
         if _built(s, d) < len(words):
-            _extend(s, d, words, la.admissible_basis(s + 1, d - 1) if d else ())
+            codomain = la.admissible_basis(s + 1, d - 1) if d else ()
+            _extend(s, d, words, codomain)
+            _CARRIED = (s + 1, d - 1), codomain
         _WHOLE.add((s, d))
     return _stored(s, d)
 
@@ -233,8 +260,14 @@ def rank_out(s: int, d: int) -> int:
     s = min(s, d - 1)
     rank = _RANK_OUT.get((s, d))
     if rank is None:
+        starts, cols = _whole_rows(s, d)
         pivots: dict[int, int] = {}  # top bit -> echelon row
-        for row in differential_rows(s, d):
+        start = 0
+        for end in starts[1:]:
+            row = 0
+            for i in cols[start:end]:
+                row |= 1 << i
+            start = end
             while row:
                 top = row.bit_length() - 1
                 pivot = pivots.get(top)
@@ -249,14 +282,13 @@ def rank_out(s: int, d: int) -> int:
 @functools.cache
 def slice_at(s: int, d: int) -> BidegreeSlice:
     """Build (and cache) the chain slice at bidegree (s, d)."""
-    basis = la.admissible_basis(s, d)
-    prev_basis = la.admissible_basis(s - 1, d + 1) if s >= 1 else ()
     boundaries = f2core.Span()
     for i, row in enumerate(differential_rows(s - 1, d + 1) if s >= 1 else ()):
         boundaries.add(row, 1 << i)
+    # the rows just built leave their codomain, the basis (s, d), in the slot
     return BidegreeSlice(
-        basis=basis,
-        prev_basis=prev_basis,
+        basis=_basis(s, d),
+        prev_basis=la.admissible_basis(s - 1, d + 1) if s >= 1 else (),
         next_basis=la.admissible_basis(s + 1, d - 1) if d >= 1 else (),
         boundaries=boundaries,
     )

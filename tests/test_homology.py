@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -292,12 +293,13 @@ class TestExtDimension:
 
 @pytest.fixture()
 def fresh_caches():
-    """Empty the rank memo, the stored rows and the caches that read or
-    fill them."""
+    """Empty the rank memo, the stored rows, the carried basis and the
+    caches that read or fill them."""
     def clear():
         homology._RANK_OUT.clear()
         homology._ROWS.clear()
         homology._WHOLE.clear()
+        homology._CARRIED = None
         slice_at.cache_clear()
         ext_dimension.cache_clear()
     clear()
@@ -318,6 +320,20 @@ def counting_rows(monkeypatch) -> dict:
         built[key] = homology._built(s, d)
     monkeypatch.setattr(homology, "_extend", counted)
     return built
+
+
+def counting_bases(monkeypatch) -> Counter:
+    """Count, by bidegree, the admissible_basis calls made from homology
+    (not those the enumeration makes of itself)."""
+    calls: Counter = Counter()
+    inner = lambda_algebra.admissible_basis
+
+    def counted(s, d):
+        if sys._getframe(1).f_globals["__name__"] == homology.__name__:
+            calls[s, d] += 1
+        return inner(s, d)
+    monkeypatch.setattr(lambda_algebra, "admissible_basis", counted)
+    return calls
 
 
 class TestRankMemo:
@@ -424,9 +440,65 @@ class TestRankMemo:
         assert calls == []
 
 
+class TestCarriedBasis:
+    """_whole_rows leaves the codomain it enumerated in one slot, and the
+    next cell on the diagonal, or slice_at, takes its words from it."""
+
+    def test_a_chart_pass_enumerates_each_basis_once(self, fresh_caches, monkeypatch):
+        # the chart workload's pass: s ascending within each diagonal
+        calls = counting_bases(monkeypatch)
+        for t in range(22):
+            for s in range(t + 1):
+                ext_dimension(s, t - s)
+        assert calls and max(calls.values()) == 1, calls.most_common(3)
+
+    def test_a_cold_slice_enumerates_its_basis_once(self, fresh_caches, monkeypatch):
+        made = {}
+        inner = lambda_algebra.admissible_basis
+
+        def kept(s, d):
+            made[s, d] = inner(s, d)
+            return made[s, d]
+        monkeypatch.setattr(lambda_algebra, "admissible_basis", kept)
+        calls = counting_bases(monkeypatch)
+        sl = slice_at(5, 14)
+        assert calls[5, 14] == 1
+        # the slice holds the very tuple the boundary rows enumerated, and
+        # the slot is empty again
+        assert sl.basis is made[5, 14]
+        assert homology._CARRIED is None
+        assert sl.basis == admissible_basis(5, 14)
+
+    def test_a_stale_slot_is_harmless(self, fresh_caches):
+        cells = [(s, t - s) for t in range(4, 17) for s in range(t + 1)]
+        rows = {cell: list(homology.differential_rows(*cell)) for cell in cells}
+        dims = {cell: ext_dimension(*cell) for cell in cells}
+
+        def clear():
+            homology._RANK_OUT.clear()
+            homology._ROWS.clear()
+            homology._WHOLE.clear()
+            ext_dimension.cache_clear()
+
+        descending = sorted(cells, reverse=True)
+        shuffled = random.Random(43).sample(cells, len(cells))
+        # the last order takes the stale basis first
+        for order in (descending, shuffled, [(3, 8)] + shuffled):
+            # the slot keeps the codomain (3, 8) of a cell whose rows are
+            # then dropped
+            clear()
+            homology._whole_rows(2, 9)
+            assert homology._CARRIED[0] == (3, 8)
+            clear()
+            for cell in order:
+                assert ext_dimension(*cell) == dims[cell], cell
+                assert list(homology.differential_rows(*cell)) == rows[cell], cell
+
+
 class TestRankPath:
-    """rank_out eliminates differential_rows without tags; slice_at and
-    find_preimage feed the same rows to a tagged Span."""
+    """rank_out eliminates the stored rows without tags; slice_at and
+    find_preimage feed the same rows, through differential_rows, to a
+    tagged Span."""
 
     # every chart cell (s + d <= 21) and the next three diagonals, where a
     # rewrite that stops its scan one pair short first goes wrong
@@ -484,6 +556,8 @@ class TestRankPath:
             for seed in range(3):
                 homology._ROWS.clear()
                 homology._WHOLE.clear()
+                # the slot holds a basis no thread has taken yet
+                homology._CARRIED = (3, 10), admissible_basis(3, 10)
                 orders = [random.Random(seed * 8 + i).sample(cells, len(cells))
                           for i in range(8)]
                 with ThreadPoolExecutor(max_workers=8) as pool:

@@ -1,7 +1,8 @@
 """Named generators, detection candidates, and stored boundary witnesses.
 
-The elements themselves live in data files under catalog_data/ in the
-.f2elt grammar, so a transcription fix never requires touching code.
+The elements themselves live in data files in catalog_data/, next to
+this module, in the .f2elt grammar, so a transcription fix never
+requires touching code; _read opens them by path, as plain files.
 Entries are validated against their declared bidegree on load; deeper
 claims about them (being cycles, being primitive) are treated as claims
 to verify, not as ground truth.
@@ -10,8 +11,8 @@ to verify, not as ground truth.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from importlib import resources
+import os
+from typing import NamedTuple
 
 from . import elements_io
 
@@ -37,8 +38,10 @@ _INDEX: dict[str, tuple[str, int, int]] = {
     "u24": (GAMMA, 5, 24),
 }
 
-@dataclass(frozen=True)
-class CatalogEntry:
+
+class CatalogEntry(NamedTuple):
+    """One loaded entry, checked against its declared bidegree."""
+
     name: str
     kind: str  # "lambda" | "gamma"
     bidegree: tuple[int, int]  # (length s | rank, internal degree d)
@@ -49,9 +52,12 @@ def names() -> tuple[str, ...]:
     return tuple(_INDEX)
 
 
+_DATA = os.path.join(os.path.dirname(__file__), "catalog_data")
+
+
 def _read(name: str) -> str:
-    path = resources.files("ltk").joinpath("catalog_data", f"{name}.f2elt")
-    return path.read_text(encoding="utf-8")
+    with open(os.path.join(_DATA, f"{name}.f2elt"), encoding="utf-8") as fh:
+        return fh.read()
 
 
 @functools.cache

@@ -36,8 +36,7 @@ memo, so a large basis does not stay in memory.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import f2core
 from .f2core import binom_mod2
@@ -125,9 +124,9 @@ def sq_right(e: GammaElement, i: int) -> GammaElement:
     return frozenset(acc)
 
 
-@dataclass(frozen=True)
-class PrimitivityEvidence:
-    """Outcome of the annihilation test, square by square."""
+class PrimitivityEvidence(NamedTuple):
+    """Outcome of the annihilation test, square by square; true iff it
+    holds, whatever squares were checked."""
 
     holds: bool
     checked: tuple[tuple[int, GammaElement], ...]  # (square degree, image)

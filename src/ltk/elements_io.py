@@ -13,12 +13,15 @@ term's presence means coefficient 1, and repeated terms cancel.
 Serialization is canonical, so equal elements always produce
 byte-identical text.
 
-The parser matches one compiled pattern per term, `L[...]` or `a(...)`,
-at the offset where the term starts, and reads the indices off the
-match.  Only when a term fails to match does _diagnose walk it again,
-piece by piece with the same piece patterns, to name what was expected
-and what was found; the line and column of a ParseError are computed
-from that offset then, and never on the way.
+The parser accepts a whole element when one match of a compiled pattern
+of the grammar, a sum of terms `L[...]` or `a(...)`, reaches the end of
+the text, and then reads the index lists of its terms with one findall.
+The pattern matches whole terms, each followed by a '+' or by the end,
+so a match that stops short stops where the first refused term starts.
+Only then does _diagnose walk the text from there, piece by piece with
+the same piece patterns, to name what was expected and what was found;
+the line and column of a ParseError are computed from that offset then,
+and never on the way.
 
 There is one reader per kind.  parse_lambda reads a Lambda element.
 parse_gamma reads a divided-power element of a given rank, or, given
@@ -54,13 +57,16 @@ class ParseError(ValueError):
 
 
 class _TermKind(NamedTuple):
-    """One term kind of the grammar and its compiled term pattern."""
+    """One term kind of the grammar, the compiled pattern of a sum of
+    such terms, and the pattern that reads the index list of each term
+    of a sum that pattern has accepted."""
 
     head: str
     open: str
     close: str
     allow_empty: bool
-    term: re.Pattern
+    terms: re.Pattern
+    indices: re.Pattern
 
 
 # the grammar's pieces; the term patterns and _diagnose are built from them
@@ -72,13 +78,17 @@ _INT_RE = re.compile(_INT)
 
 def _term_kind(head: str, open_ch: str, close_ch: str,
                allow_empty: bool) -> _TermKind:
-    # group 1: the indices, commas and spaces between the brackets
-    indices = f"({_INT}(?:{_SPACE},{_SPACE}{_INT})*){_SPACE}"
+    indices = f"{_INT}(?:{_SPACE},{_SPACE}{_INT})*{_SPACE}"
     if allow_empty:
         indices = f"(?:{indices})?"
-    term = re.compile(_SPACE + re.escape(head) + _SPACE + re.escape(open_ch)
-                      + _SPACE + indices + re.escape(close_ch) + _SPACE)
-    return _TermKind(head, open_ch, close_ch, allow_empty, term)
+    open_re, close_re = re.escape(open_ch), re.escape(close_ch)
+    term = (_SPACE + re.escape(head) + _SPACE + open_re + _SPACE + indices
+            + close_re + _SPACE)
+    # each term is followed by a '+' and another term, or ends the text;
+    # in accepted text, the brackets hold the indices, commas and spaces
+    return _TermKind(head, open_ch, close_ch, allow_empty,
+                     re.compile(rf"(?:{term}(?:\+(?!\Z)|\Z))+"),
+                     re.compile(f"{open_re}{_SPACE}([^{close_re}]*){close_re}"))
 
 
 _LAMBDA = _term_kind("L", "[", "]", allow_empty=True)
@@ -96,8 +106,8 @@ def _found(text: str, pos: int) -> str:
 
 
 def _diagnose(text: str, pos: int, kind: _TermKind) -> NoReturn:
-    """Raise the ParseError for the term (and the '+' after it) that
-    starts at pos, found by matching the grammar's pieces one by one."""
+    """Raise the ParseError for the terms, and the '+' between them, from
+    pos on, found by matching the grammar's pieces one by one."""
 
     def skip(at: int) -> int:
         return _SPACE_RE.match(text, at).end()
@@ -118,16 +128,17 @@ def _diagnose(text: str, pos: int, kind: _TermKind) -> NoReturn:
             raise _error(f"integer has more than {MAX_DIGITS} digits", text, at)
         return skip(digits.end())
 
-    pos = skip(expect(kind.head, skip(pos)))
-    pos = skip(expect(kind.open, pos))
-    if not (kind.allow_empty and text.startswith(kind.close, pos)):
-        pos = integer(pos)
-        while text.startswith(",", pos):
-            pos = integer(pos + 1)
-    pos = skip(expect(kind.close, pos))
-    if pos < len(text):
-        expect("+", pos)
-    raise AssertionError(f"the term pattern refused a well-formed term at {pos}")
+    while True:
+        pos = skip(expect(kind.head, skip(pos)))
+        pos = skip(expect(kind.open, pos))
+        if not (kind.allow_empty and text.startswith(kind.close, pos)):
+            pos = integer(pos)
+            while text.startswith(",", pos):
+                pos = integer(pos + 1)
+        pos = skip(expect(kind.close, pos))
+        if pos == len(text):
+            raise AssertionError("the sum pattern refused a well-formed element")
+        pos = expect("+", pos)
 
 
 def _parse(text: str, kind: _TermKind) -> frozenset:
@@ -139,23 +150,19 @@ def _parse(text: str, kind: _TermKind) -> frozenset:
         return frozenset()
     if pos == len(text):
         raise _error("empty input", text, pos)
-    term, end = kind.term.match, len(text)
+    whole = kind.terms.match(text, pos)
+    if whole is None or whole.end() < len(text):
+        # the terms matched are whole, each followed by a '+': the next
+        # term, or the text after it, is refused
+        _diagnose(text, whole.end() if whole else pos, kind)
     acc: set[tuple[int, ...]] = set()
-    while True:
-        match = term(text, pos)
-        if match is None:
-            _diagnose(text, pos, kind)
-        indices = match.group(1)
+    for indices in kind.indices.findall(text, pos):
         t = tuple(map(int, indices.split(","))) if indices else ()
         if t in acc:  # repeated terms cancel mod 2
             acc.remove(t)
         else:
             acc.add(t)
-        if match.end() == end:
-            return frozenset(acc)
-        if text[match.end()] != "+":
-            _diagnose(text, pos, kind)
-        pos = match.end() + 1
+    return frozenset(acc)
 
 
 def parse_lambda(text: str) -> la.LambdaElement:

@@ -12,8 +12,7 @@ the package; they stay only because perfbench/spans.py times them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 
 def binom_mod2(n: int, k: int) -> int:
@@ -37,20 +36,26 @@ def set_bits(v: int) -> Iterator[int]:
         v ^= low
 
 
-@dataclass(frozen=True)
-class BitMatrix:
-    """A dense matrix over GF(2); each row is a bit-packed int."""
-
+# the fields of BitMatrix: a NamedTuple may not define __new__ itself
+class _Matrix(NamedTuple):
     rows: int
     cols: int
     data: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.data) != self.rows:
+
+class BitMatrix(_Matrix):
+    """A dense matrix over GF(2); each row is a bit-packed int.  A
+    NamedTuple whose constructor checks the payload."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, data: tuple[int, ...]):
+        if len(data) != rows:
             raise ValueError("row count does not match payload")
-        for r in self.data:
-            if r < 0 or r >> self.cols:
+        for r in data:
+            if r < 0 or r >> cols:
                 raise ValueError("row has bits outside the declared width")
+        return super().__new__(cls, rows, cols, data)
 
     def transpose(self) -> "BitMatrix":
         cols = []

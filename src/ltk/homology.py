@@ -40,9 +40,10 @@ when its own rows are asked for; so every row is built at most once per
 process.  No basis is cached but in the slices slice_at keeps and in one
 slot, _CARRIED: a cell built whole leaves its codomain there, and the
 next cell built takes its words from the slot if they are its own (the
-next cell on the diagonal in a chart pass, s ascending, and the basis of
-slice_at, which builds its boundary rows first) and enumerates them
-otherwise.  Each build takes or drops the slot before it enumerates, so
+next cell on the diagonal in a chart pass, s ascending) and enumerates
+them otherwise.  slice_at enumerates prev_basis, leaves it in the slot
+for the boundary rows it builds, unless the slot holds its own basis
+already, and takes its basis from the codomain they leave.  Each build takes or drops the slot before it enumerates, so
 no stale basis is held while the next is built.  A cell read below
 another takes its words and codomain from that one's block of n, the
 letter n stripped.
@@ -73,10 +74,9 @@ import functools
 import threading
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import f2core, lambda_algebra as la
 from .lambda_algebra import LambdaElement, LambdaMonomial
@@ -86,9 +86,8 @@ class NotACycleError(ValueError):
     """Raised when an operation defined on cycles receives a non-cycle."""
 
 
-@dataclass(frozen=True)
-class BidegreeSlice:
-    """The chain data at one bidegree (s, d).
+class BidegreeSlice(NamedTuple):
+    """The chain data at one bidegree (s, d), a read-only record.
 
     boundaries holds the differentials of prev_basis, the basis at
     (s-1, d+1), as rows in basis coordinates, the row of prev_basis[i]
@@ -282,13 +281,20 @@ def rank_out(s: int, d: int) -> int:
 @functools.cache
 def slice_at(s: int, d: int) -> BidegreeSlice:
     """Build (and cache) the chain slice at bidegree (s, d)."""
-    boundaries = f2core.Span()
-    for i, row in enumerate(differential_rows(s - 1, d + 1) if s >= 1 else ()):
-        boundaries.add(row, 1 << i)
-    # the rows just built leave their codomain, the basis (s, d), in the slot
+    global _CARRIED
+    boundaries, prev_basis = f2core.Span(), ()
+    if s >= 1:
+        prev_basis = la.admissible_basis(s - 1, d + 1)
+        # its rows take their words from the slot, and leave their
+        # codomain, the basis (s, d), in it; a slot that holds (s, d)
+        # already was left by those rows, built whole
+        if _CARRIED is None or _CARRIED[0] != (s, d):
+            _CARRIED = (s - 1, d + 1), prev_basis
+        for i, row in enumerate(differential_rows(s - 1, d + 1)):
+            boundaries.add(row, 1 << i)
     return BidegreeSlice(
         basis=_basis(s, d),
-        prev_basis=la.admissible_basis(s - 1, d + 1) if s >= 1 else (),
+        prev_basis=prev_basis,
         next_basis=la.admissible_basis(s + 1, d - 1) if d >= 1 else (),
         boundaries=boundaries,
     )

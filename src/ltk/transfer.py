@@ -20,9 +20,8 @@ re-checked witnesses.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import divided_power as dp
 from . import f2core, homology
@@ -126,9 +125,9 @@ def sq0_family(base: CatalogEntry, t: int) -> LambdaElement:
     return e
 
 
-@dataclass(frozen=True)
-class DetectionReport:
-    """Machine-checkable certificate for one detection run."""
+class DetectionReport(NamedTuple):
+    """Machine-checkable certificate for one detection run; immutable,
+    and equal to another report iff every field is."""
 
     input_name: str
     bidegree: tuple[int, int]

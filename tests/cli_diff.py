@@ -10,9 +10,12 @@ prints each command whose stdout, stderr or exit code differs, with a
 diff, and exits 1 if any differs, 0 if none does.  Output is canonical,
 so any difference is a change of behaviour.  A last line gives each
 tree's total wall seconds over all commands, interpreter start-up
-included, the next the number of lines in each tree's ltk/*.py, and the
-last its code lines: lines that hold a token, less blank, comment and
-docstring lines.  Standard library only.
+included, the next the number of lines in each tree's ltk/*.py, the
+next its code lines: lines that hold a token, less blank, comment and
+docstring lines.  The last gives each tree's start-up: the number of
+modules that `import ltk, ltk.cli` loads beyond a bare `python -S`, and
+the best wall seconds of STARTUPS interpreters that do only that, the
+two trees' interpreters taking turns.  Standard library only.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ from typing import Optional
 
 RUN = "import sys; from ltk.cli import run; sys.exit(run(sys.argv[1:]))"
 TIMEOUT_S = 600
+# run with -S, so that no site .pth file preloads a module on any host
+STARTUP = ("import sys; bare = set(sys.modules); import ltk, ltk.cli; "
+           "print(len(set(sys.modules) - bare))")
+STARTUPS = 5
 
 # input files written into the working directory; catalog entries are
 # read from the first tree's catalog_data
@@ -218,6 +225,34 @@ def run(tree: str, argv: list[str], workdir: str
     return (done.returncode, done.stdout, done.stderr), time.perf_counter() - start
 
 
+def startup(trees: list[str]) -> list[Optional[tuple[int, float]]]:
+    """For each tree, the modules that importing ltk and ltk.cli loads
+    beyond a bare `python -S`, and the best wall seconds of STARTUPS
+    interpreters that do that; None if one of them failed or timed out."""
+    best: list[Optional[tuple[int, float]]] = [(0, float("inf"))] * len(trees)
+    for _ in range(STARTUPS):
+        for i, tree in enumerate(trees):
+            if best[i] is None:
+                continue
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(tree))
+            start = time.perf_counter()
+            try:
+                done = subprocess.run([sys.executable, "-S", "-c", STARTUP], env=env,
+                                      stdin=subprocess.DEVNULL, capture_output=True,
+                                      text=True, timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                best[i] = None
+                continue
+            seconds = time.perf_counter() - start
+            best[i] = None if done.returncode else (int(done.stdout),
+                                                    min(best[i][1], seconds))
+    return best
+
+
+def _startup_text(result: Optional[tuple[int, float]]) -> str:
+    return "failed" if result is None else f"{result[0]} modules, best {result[1]:.4f} s"
+
+
 def _diff(label: str, old: str, new: str) -> list[str]:
     return list(difflib.unified_diff(old.splitlines(), new.splitlines(),
                                      f"old {label}", f"new {label}", lineterm=""))
@@ -290,6 +325,9 @@ def main(argv: list[str]) -> int:
     print(f"lines in ltk/*.py: old {_lines(old_tree)}, new {_lines(new_tree)}")
     print(f"code lines in ltk/*.py: old {_code_lines(old_tree)}, "
           f"new {_code_lines(new_tree)}")
+    old_start, new_start = map(_startup_text, startup([old_tree, new_tree]))
+    print(f"start-up, import ltk, ltk.cli under python -S: old {old_start}; "
+          f"new {new_start}")
     return 1 if differ else 0
 
 

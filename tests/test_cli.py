@@ -540,6 +540,16 @@ class TestCliDiff:
         assert f"  old timed out after {cli_diff.TIMEOUT_S} s\n" in out
         assert "1 commands, 1 differ\n" in out
 
+    def test_startup_counts_modules_and_reports_a_failing_tree(self, tmp_path,
+                                                               monkeypatch):
+        monkeypatch.setattr(cli_diff, "STARTUPS", 1)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        # tmp_path holds no ltk package, so its interpreter fails
+        (modules, seconds), broken = cli_diff.startup([src, str(tmp_path)])
+        assert modules > 0 and seconds > 0
+        assert broken is None
+        assert cli_diff._startup_text(broken) == "failed"
+
     def test_code_lines_skip_blanks_comments_and_docstrings(self, tmp_path):
         (tmp_path / "ltk").mkdir()
         (tmp_path / "ltk" / "a.py").write_text(

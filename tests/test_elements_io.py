@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltk import catalog
+from ltk import catalog, elements_io
 from ltk import divided_power as dp
 from ltk import lambda_algebra as la
 from ltk.elements_io import (
@@ -261,6 +262,99 @@ class TestHypothesisFuzz:
         if g:
             assert parse_document(serialize_gamma(g)) == g
             assert parse_gamma(serialize_gamma(g)) == g
+
+
+def _term_pattern(kind):
+    """One term of the kind, with the spaces around it."""
+    space, integer = elements_io._SPACE, elements_io._INT
+    indices = f"{integer}(?:{space},{space}{integer})*{space}"
+    if kind.allow_empty:
+        indices = f"(?:{indices})?"
+    return re.compile(space + re.escape(kind.head) + space + re.escape(kind.open)
+                      + space + indices + re.escape(kind.close) + space)
+
+
+def _walked(text, kind):
+    """The element read term by term, one match of a term pattern at
+    each, with the indices read off the matched text: the parser before
+    it accepted a whole element with one match."""
+    term_at = _term_pattern(kind).match
+    pos = elements_io._SPACE_RE.match(text).end()
+    if text.startswith("0", pos):
+        pos = elements_io._SPACE_RE.match(text, pos + 1).end()
+        if pos < len(text):
+            raise elements_io._error("trailing input after zero element", text, pos)
+        return frozenset()
+    if pos == len(text):
+        raise elements_io._error("empty input", text, pos)
+    acc = set()
+    while True:
+        match = term_at(text, pos)
+        if match is None:
+            elements_io._diagnose(text, pos, kind)
+        term = match.group()
+        body = term[term.index(kind.open) + 1:term.rindex(kind.close)]
+        acc ^= {tuple(map(int, body.split(","))) if body.strip() else ()}
+        if match.end() == len(text):
+            return frozenset(acc)
+        if text[match.end()] != "+":
+            elements_io._diagnose(text, pos, kind)
+        pos = match.end() + 1
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err)
+
+
+class TestWholeElementMatch:
+    """_parse accepts an element with one fullmatch and reads its indices
+    with one findall; it gives the element, or the ParseError, that a
+    walk term by term gives."""
+
+    @staticmethod
+    def agree(text):
+        for kind in (elements_io._LAMBDA, elements_io._GAMMA):
+            assert (_outcome(lambda t: elements_io._parse(t, kind), text)
+                    == _outcome(lambda t: _walked(t, kind), text)), (kind.head, text)
+
+    @FUZZ
+    @given(st.text(alphabet=FUZZ_ALPHABET, max_size=30))
+    def test_arbitrary_text(self, text):
+        self.agree(text)
+
+    @FUZZ
+    @given(st.one_of(lambda_elements.map(serialize_lambda),
+                     gamma_elements.map(serialize_gamma)),
+           st.data())
+    def test_valid_text_and_one_edit(self, text, data):
+        self.agree(text)
+        pos = data.draw(st.integers(0, len(text)))
+        ch = data.draw(st.sampled_from(FUZZ_ALPHABET + "\r"))
+        cut = data.draw(st.integers(0, 1))
+        self.agree(text[:pos] + ch + text[pos + cut:])
+
+    @FUZZ
+    @given(st.lists(st.lists(st.integers(0, 12), max_size=3), min_size=1, max_size=6),
+           st.lists(st.sampled_from(["", " ", "\t", "\r\n", "  "]), min_size=9, max_size=9),
+           st.booleans())
+    def test_spaced_sums_with_repeats(self, words, gaps, gamma):
+        # repeated terms cancel; spaces around every token, leading zeros
+        head, open_ch, close_ch = ("a", "(", ")") if gamma else ("L", "[", "]")
+        terms = [f"{gaps[0]}{head}{gaps[1]}{open_ch}{gaps[2]}"
+                 + f"{gaps[3]},{gaps[4]}".join("0" * (i % 2) + str(i) for i in w)
+                 + f"{gaps[5]}{close_ch}{gaps[6]}" for w in words + words[:1]]
+        self.agree("+".join(terms) + gaps[7])
+
+    @pytest.mark.parametrize("text", [
+        "L[1] + L[2] +", "L[1] L[2]", "L[1,2", "L[3,-1]", "a(1,,2)", "L[] + L[ ]",
+        "L[1] +\n  L[" + "7" * 5000 + "]", "L[" + "7" * 4300 + "]", "+L[1]",
+        " a(1) + a(2)\n", "a(1)+a(1)+a(1)", "L[1]\x0b+ L[2]", "L[1]+a(2)",
+    ])
+    def test_edge_cases(self, text):
+        self.agree(text)
 
 
 class TestParseDocument:

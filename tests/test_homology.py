@@ -462,12 +462,42 @@ class TestCarriedBasis:
         monkeypatch.setattr(lambda_algebra, "admissible_basis", kept)
         calls = counting_bases(monkeypatch)
         sl = slice_at(5, 14)
-        assert calls[5, 14] == 1
-        # the slice holds the very tuple the boundary rows enumerated, and
-        # the slot is empty again
+        # the basis, prev_basis (4, 15), whose rows are built, and next_basis
+        assert calls == {(5, 14): 1, (4, 15): 1, (6, 13): 1}
+        # the slice holds the very tuples the boundary rows read and
+        # enumerated, and the slot is empty again
         assert sl.basis is made[5, 14]
+        assert sl.prev_basis is made[4, 15]
         assert homology._CARRIED is None
         assert sl.basis == admissible_basis(5, 14)
+        assert sl.prev_basis == admissible_basis(4, 15)
+
+    def test_a_slice_keeps_the_basis_its_rows_left(self, fresh_caches, monkeypatch):
+        # rows built whole, as ext_dimension builds them, leave (5, 14) in
+        # the slot, and slice_at takes it rather than carry its prev_basis
+        homology._whole_rows(4, 15)
+        assert homology._CARRIED[0] == (5, 14)
+        calls = counting_bases(monkeypatch)
+        sl = slice_at(5, 14)
+        assert calls == {(4, 15): 1, (6, 13): 1}
+        assert sl.basis == admissible_basis(5, 14)
+        assert homology._CARRIED is None
+
+    @pytest.mark.parametrize("cell", [(9, 4), (7, 5), (6, 5), (3, 0)])
+    def test_a_cold_slice_past_the_diagonal_enumerates_each_basis_once(
+            self, cell, fresh_caches, monkeypatch):
+        # the rows of prev_basis (s - 1, d + 1) are those of (d + 1, d + 1)
+        # when s - 1 > d + 1: the slot, keyed by prev_basis's own bidegree,
+        # does not stand in for that basis
+        calls = counting_bases(monkeypatch)
+        s, d = cell
+        sl = slice_at(s, d)
+        assert calls and max(calls.values()) == 1, calls
+        assert sl.prev_basis == admissible_basis(s - 1, d + 1)
+        assert sl.basis == admissible_basis(s, d)
+        for i, w in enumerate(sl.prev_basis):
+            image = homology.row(differential(frozenset({w})), sl.basis)
+            assert sl.boundaries.reduce(image)[0] == 0, (cell, w)
 
     def test_a_stale_slot_is_harmless(self, fresh_caches):
         cells = [(s, t - s) for t in range(4, 17) for s in range(t + 1)]

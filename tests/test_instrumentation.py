@@ -7,6 +7,10 @@ there: the tracer is loaded, never installed."""
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +59,32 @@ def test_f2core_counters_run_on_each_traced_call(spans):
     for name, (args, result) in calls.items():
         counts = dict(spans.COUNTERS[name](args, result, set()))
         assert counts == {"f2core.calls": 1, "f2core.matrix_bits": 3 * 4}, name
+
+
+def test_installed_tracer_records_spans_and_counts():
+    # installing rewrites module and class attributes, so it runs in a
+    # fresh interpreter; BitMatrix is a NamedTuple, its method replaced
+    # on the class
+    probe = f"""
+import importlib.util, json, ltk, ltk.cli
+spec = importlib.util.spec_from_file_location("perfbench_spans", {str(SPANS)!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+tracer.install(ltk)
+tracer.op = 0
+ltk.f2core.BitMatrix(2, 3, (1, 6)).transpose()
+ltk.homology.slice_at(2, 5)
+print(json.dumps(tracer.dump()))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(ltk.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    dump = json.loads(done.stdout)
+    names = {span[0] for span in dump["spans"]}
+    assert {"f2core.BitMatrix.transpose", "homology.slice_at",
+            "lambda_algebra.admissible_basis"} <= names
+    counts = {metric: n for _, metric, n in dump["counts"]}
+    assert counts["f2core.matrix_bits"] == 2 * 3
+    assert counts["homology.slices_built"] == 1

@@ -275,7 +275,7 @@ class TestVerifyDetection:
                 for u, target, expected, cls in runs]
         assert [r.verdict for r in cold].count("verified") == 3
         for a, b in zip(cold, warm):
-            # a dataclass compares field by field
+            # a report compares field by field
             assert a == b, a.input_name
 
     def test_lambda_entry_rejected(self):

@@ -184,14 +184,15 @@ def _extend(s: int, d: int, words: Sequence[LambdaMonomial],
     of the basis (s, d), after those stored; codomain is a leading run of
     the basis (s+1, d-1) that holds every word they reach.  The row of
     n T joins the words of d(lambda_n) T, rewritten, to the row of d(T)
-    shifted into the block of n (module docstring)."""
+    shifted into the block of n (module docstring).  A term (n-j, j-1) T
+    can violate only at its pair 1, and goes to the kernel, la._rewrite,
+    as a list built for it; an admissible one toggles straight into the
+    row."""
     # a copy, as a stored pair is never changed
     starts, cols = (run[:] for run in _stored(s, d))
     # the stored rows end at a first-letter block, as every run read does
     words = words[len(starts) - 1:]
     done: set[LambdaMonomial] = set()
-    stack: la._Stack = []
-    push, rewrite = stack.append, la._rewrite
     place = {w: i for i, w in enumerate(codomain)}.get
     for n, block in groupby(words, itemgetter(0)):
         tails = [w[1:] for w in block]
@@ -207,15 +208,12 @@ def _extend(s: int, d: int, words: Sequence[LambdaMonomial],
         for k, tail in enumerate(tails):
             hi = tail[0] if tail else -1  # a term violates at pair 1 if hi > 2b
             for pair, twice in pairs:
-                word = pair + tail
                 if hi > twice:
-                    push((word, 1, s))
-                elif word in done:
+                    la._rewrite([*pair, *tail], 1, s, s, done)
+                elif (word := pair + tail) in done:
                     done.discard(word)
                 else:
                     done.add(word)
-            if stack:
-                rewrite(stack, done, s)
             if done:
                 row = [place(t, start) for t in done]
                 done.clear()

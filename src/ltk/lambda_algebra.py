@@ -23,8 +23,11 @@ only the letters at i and i + 1, and raises the one at i.  So in each new
 word every pair left of i - 1 is still admissible, pair i is admissible,
 and the next leftmost violation is at i - 1, at i + 1 or at the first
 violation right of i + 1 in the old word, which all the new words share.
-The kernel, _rewrite, compares two pairs per new word and scans that
-shared tail once.
+The kernel, _rewrite, holds the word in one list and rewrites it in
+place: it sets the two letters of each new pair, compares two pairs,
+recurses at the new word's violation and restores the letters after.
+The shared tail is scanned once per rewrite, and a tuple is built only
+for each admissible word reached, none for the words in between.
 
 Admissible input says where each word it makes can first violate, so
 product and differential hand the kernel their words classified instead
@@ -61,16 +64,12 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from collections import defaultdict
 from typing import Iterable, NamedTuple, Optional
 
 from .f2core import binom_mod2
 
 LambdaMonomial = tuple[int, ...]
 LambdaElement = frozenset  # of LambdaMonomial
-
-# the rewriting kernel's work list: (word, violation i, scan resume f)
-_Stack = list[tuple[LambdaMonomial, int, int]]
 
 ZERO: LambdaElement = frozenset()
 UNIT: LambdaElement = frozenset({()})
@@ -140,49 +139,41 @@ def _last_bad(w: LambdaMonomial) -> Optional[int]:
     return None
 
 
-def _rewrite(stack: _Stack, done: set[LambdaMonomial], last: int) -> None:
-    """Rewrite every (word, i, f) entry of the stack depth first, toggling
-    the admissible words it reaches into done.
+def _rewrite(cur: list[int], i: int, f: int, last: int,
+             done: set[LambdaMonomial]) -> None:
+    """Rewrite the word cur, last index `last`, depth first, toggling the
+    admissible words it reaches into done; cur is changed in place and
+    restored before the return.
 
-    Every word on the stack has last index `last`, and so has every word
-    a rewrite makes from it.  Pair i is the entry's violation to rewrite,
-    its leftmost one.  Each word that a rewrite makes is classified as it
-    is made: an admissible one toggles into done, any other is pushed
-    with its own leftmost violation.  Every pair from i + 2 up to f - 1
-    is known to be admissible, so the scan for the next violation right
-    of i + 1 resumes at f (see the module docstring); f at or past last
+    Pair i is the word's violation to rewrite, its leftmost one.  Each
+    word that a rewrite makes is classified as it is made: an admissible
+    one toggles into done, any other is rewritten at its own leftmost
+    violation, one level deeper.  Every pair from i + 2 up to f - 1 is
+    known to be admissible, so the scan for the next violation right of
+    i + 1 resumes at f (see the module docstring); f at or past last
     means there is none.
     """
-    push = stack.append
-    while stack:
-        w, i, f = stack.pop()
-        head, tail = w[:i], w[i + 2:]
-        pairs = _pair_expansion(w[i], w[i + 1])
-        while f < last and w[f + 1] <= 2 * w[f]:
-            f += 1
-        # f is the first violation right of pair i + 1, or last if none
-        lo = 2 * w[i - 1] if i else -1  # a new word violates at i - 1 if a > lo
-        hi = w[i + 2] if tail else -1   # and at i + 1 if hi > 2b
-        for pair in pairs:
-            a, b = pair
-            word = head + pair + tail
-            if i and a > lo:
-                push((word, i - 1, i + 1 if hi > 2 * b else f))
-            elif hi > 2 * b:
-                push((word, i + 1, f if f > i + 3 else i + 3))
-            elif f < last:
-                push((word, f, f + 2))
-            elif word in done:
+    x, y = cur[i], cur[i + 1]
+    while f < last and cur[f + 1] <= 2 * cur[f]:
+        f += 1
+    # f is the first violation right of pair i + 1, or last if none
+    lo = 2 * cur[i - 1] if i else -1         # a new word violates at i - 1 if a > lo
+    hi = cur[i + 2] if i + 1 < last else -1  # and at i + 1 if hi > 2b
+    for a, b in _pair_expansion(x, y):
+        cur[i], cur[i + 1] = a, b
+        if i and a > lo:
+            _rewrite(cur, i - 1, i + 1 if hi > 2 * b else f, last, done)
+        elif hi > 2 * b:
+            _rewrite(cur, i + 1, f if f > i + 3 else i + 3, last, done)
+        elif f < last:
+            _rewrite(cur, f, f + 2, last, done)
+        else:
+            word = tuple(cur)
+            if word in done:
                 done.discard(word)
             else:
                 done.add(word)
-
-
-def _drain(stacks: dict[int, _Stack], done: set[LambdaMonomial]) -> LambdaElement:
-    """Rewrite each per-length stack into done; the normal form reached."""
-    for last, stack in stacks.items():
-        _rewrite(stack, done, last)
-    return frozenset(done)
+    cur[i], cur[i + 1] = x, y
 
 
 def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
@@ -192,9 +183,9 @@ def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
     same on an element and on its normal form.  The strategy picks which
     violation each rewrite takes.  "leftmost", the canonical order,
     classifies each word by its leftmost violation and hands the rest to
-    _rewrite, one word length at a time.  "rightmost" rewrites the
-    rightmost violation of each word depth first, scanning every word it
-    makes; both reach the same normal form (see the module docstring).
+    _rewrite, word by word.  "rightmost" rewrites the rightmost violation
+    of each word depth first, scanning every word it makes; both reach
+    the same normal form (see the module docstring).
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -212,14 +203,13 @@ def normalize(e: LambdaElement, strategy: str = "leftmost") -> LambdaElement:
                 head, tail = w[:i], w[i + 2:]
                 words += [head + pair + tail for pair in _pair_expansion(w[i], w[i + 1])]
         return frozenset(done)
-    stacks: defaultdict[int, _Stack] = defaultdict(list)
     for w in e:
         i = _first_bad(w)
         if i is None:
             done ^= {w}
         else:
-            stacks[len(w) - 1].append((w, i, i + 2))
-    return _drain(stacks, done)
+            _rewrite(list(w), i, i + 2, len(w) - 1, done)
+    return frozenset(done)
 
 
 def product(e1: LambdaElement, e2: LambdaElement) -> LambdaElement:
@@ -231,19 +221,17 @@ def product(e1: LambdaElement, e2: LambdaElement) -> LambdaElement:
     """
     e1, e2 = normalize(e1), normalize(e2)
     done: set[LambdaMonomial] = set()
-    stacks: defaultdict[int, _Stack] = defaultdict(list)
     for w1 in e1:
         lo = 2 * w1[-1] if w1 else -1  # w2 violates at the junction if w2[0] > lo
         for w2 in e2:
-            word = w1 + w2
             if w1 and w2 and w2[0] > lo:
-                last = len(word) - 1
-                stacks[last].append((word, len(w1) - 1, last))
-            elif word in done:
+                last = len(w1) + len(w2) - 1
+                _rewrite([*w1, *w2], len(w1) - 1, last, last, done)
+            elif (word := w1 + w2) in done:
                 done.discard(word)
             else:
                 done.add(word)
-    return _drain(stacks, done)
+    return frozenset(done)
 
 
 @functools.cache
@@ -253,9 +241,9 @@ def _generator_differential(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _leibniz(w: LambdaMonomial, stack: _Stack, done: set[LambdaMonomial]) -> None:
-    """Push each Leibniz term of d(w), w admissible, onto the stack with
-    its violation, or toggle it into done if it is admissible.
+def _leibniz(w: LambdaMonomial, done: set[LambdaMonomial]) -> None:
+    """Toggle each Leibniz term of d(w), w admissible, into done, through
+    the kernel if it is not admissible.
 
     The term head + (n-j, j-1) + tail, with pair i the new one, can
     violate only at pair i + 1, that is when tail[0] > 2(j-1): pair i - 1
@@ -263,7 +251,6 @@ def _leibniz(w: LambdaMonomial, stack: _Stack, done: set[LambdaMonomial]) -> Non
     admissible because j <= n / 2 gives 3j <= 2n + 1.  So no term is
     scanned.  Every term has last index len(w).
     """
-    push = stack.append
     last = len(w)
     for i, n in enumerate(w):
         pairs = _generator_differential(n)
@@ -272,10 +259,9 @@ def _leibniz(w: LambdaMonomial, stack: _Stack, done: set[LambdaMonomial]) -> Non
         head, tail = w[:i], w[i + 1:]
         hi = tail[0] if tail else -1  # a term violates at i + 1 if hi > 2b
         for pair in pairs:
-            word = head + pair + tail
             if hi > 2 * pair[1]:
-                push((word, i + 1, last))
-            elif word in done:
+                _rewrite([*head, *pair, *tail], i + 1, last, last, done)
+            elif (word := head + pair + tail) in done:
                 done.discard(word)
             else:
                 done.add(word)
@@ -289,10 +275,9 @@ def differential(e: LambdaElement) -> LambdaElement:
     element passes through normalize first.
     """
     done: set[LambdaMonomial] = set()
-    stacks: defaultdict[int, _Stack] = defaultdict(list)
     for w in normalize(e):
-        _leibniz(w, stacks[len(w)], done)
-    return _drain(stacks, done)
+        _leibniz(w, done)
+    return frozenset(done)
 
 
 def sq0(e: LambdaElement) -> LambdaElement:

@@ -63,6 +63,13 @@ MALFORMED = {
 # deep; their normal form has about 2,000 words
 CHAINS = ("L[0,0,0,0,0,30] + L[0,0,0,0,0,20] + L[3,1,0,2,0,28] +\n"
           "L[1,1,1,1,1,33] + L[1,0,6,0,3,6] + L[2,0,3,6,1,12]\n")
+# inadmissible words of 12 to 20 letters that the basis guard admits,
+# rewritten six to ten rewrites deep: (1,0,0,3,0,2,...) at (12, 12),
+# (16, 16) and (20, 20), and words at (12, 22), (16, 21) and (20, 21)
+DEEP = ("L[1,0,0,3,0,2,0,2,0,2,0,2] + L[1,0,0,3,0,2,0,2,0,2,0,2,0,2,0,2] +\n"
+        "L[1,0,0,3,0,2,0,2,0,2,0,2,0,2,0,2,0,2,0,2] + L[0,0,4,1,1,0,9,4,0,0,3,0] +\n"
+        "L[1,0,6,1,0,0,6,0,2,0,2,1,1,1,0,0] +\n"
+        "L[1,1,0,2,2,0,2,2,0,0,3,0,0,0,5,2,1,0,0,0]\n")
 
 # sums of words of length 4 and degree 20: admissible ones, some ending
 # in zeros, alone and mixed with inadmissible ones
@@ -164,6 +171,9 @@ COMMANDS: list[list[str]] = [
       for cmd in ("diff", "sq0")
       for name in ("admissible.f2elt", "blend.f2elt")
       for fmt in ([], ["--format", "json"])],
+    *[[cmd, "--in", "deep.f2elt", *fmt]
+      for cmd in ("normalize", "diff", "sq0")
+      for fmt in ([], ["--format", "json"])],
     *[["basis", "--s", s, "--deg", d]
       for s, d in (("3", "7"), ("6", "20"), ("0", "3"), ("4", "0"))],
     # bases of at most three letters, the sizes the suffix tables hold
@@ -201,7 +211,8 @@ def write_inputs(tree: str, workdir: str) -> None:
         files[f"{u}_mutant.f2elt"] = _mutant(files[f"{u}.f2elt"])
     for file, (name, letters) in PRODUCTS.items():
         files[file] = catalog_text(name).replace("]", letters + "]")
-    files.update(MALFORMED, **{"chains.f2elt": CHAINS, "admissible.f2elt": ADMISSIBLE,
+    files.update(MALFORMED, **{"chains.f2elt": CHAINS, "deep.f2elt": DEEP,
+                               "admissible.f2elt": ADMISSIBLE,
                                "blend.f2elt": BLEND, "mixed_degree.f2elt": MIXED_DEGREE,
                                "zero.f2elt": ZERO, "mixed_lambda.f2elt": MIXED_LAMBDA,
                                "unit.f2elt": UNIT})

@@ -17,6 +17,7 @@ from ltk.cli import FALSIFIED, OK, USAGE, _parser, run
 from ltk.lambda_algebra import product
 
 from . import cli_diff
+from .oracles import normal_form
 
 
 @pytest.fixture()
@@ -58,6 +59,17 @@ class TestElementCommands:
         code, out, _ = capture("normalize", "--in", path, "--format", "json")
         assert code == OK
         assert json.loads(out) == {"schema": 2, "element": "L[1,1]"}
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+    def test_normalize_deep_words(self, capture, tmp_path, fmt):
+        # cli_diff's long words, rewritten up to ten rewrites deep, pass
+        # the basis guard and are answered
+        path = write(tmp_path, "deep.f2elt", cli_diff.DEEP)
+        code, out, err = capture("normalize", "--in", path, *fmt)
+        assert code == OK and err == ""
+        text = json.loads(out)["element"] if fmt else out.strip()
+        want = normal_form(elements_io.parse_lambda(cli_diff.DEEP))
+        assert elements_io.parse_lambda(text) == want
 
     def test_steenrod(self, capture, tmp_path):
         path = write(tmp_path, "g.f2elt", "a(2)")

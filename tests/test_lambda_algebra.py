@@ -221,6 +221,53 @@ class TestResumeIndex:
             assert normalize(element(w), "rightmost") == want, w
 
 
+class TestDeepRewriting:
+    """Long inadmissible words that the command line's basis guard
+    admits, whose rewriting runs six to ten rewrites deep.  The kernel
+    rewrites one list in place; each entry to it must leave that list as
+    it found it."""
+
+    # (1,0,0,3,0,2,...) at (12, 12), (16, 16) and (20, 20), normal form
+    # lambda_1^s; then words at (12, 22), (16, 21) and (20, 21) whose
+    # normal forms have 6, 4 and 2 words
+    WORDS = [(1, 0, 0, 3) + (0, 2) * 4, (1, 0, 0, 3) + (0, 2) * 6,
+             (1, 0, 0, 3) + (0, 2) * 8, (0, 0, 4, 1, 1, 0, 9, 4, 0, 0, 3, 0),
+             (1, 0, 6, 1, 0, 0, 6, 0, 2, 0, 2, 1, 1, 1, 0, 0),
+             (1, 1, 0, 2, 2, 0, 2, 2, 0, 0, 3, 0, 0, 0, 5, 2, 1, 0, 0, 0)]
+
+    @pytest.mark.parametrize("w", WORDS, ids=lambda w: f"{len(w)}-{sum(w)}")
+    def test_normalize(self, w):
+        want = normal_form([w])
+        assert want
+        assert normalize(element(w)) == want
+        assert normalize(element(w), "rightmost") == want
+
+    @pytest.mark.parametrize("w", WORDS, ids=lambda w: f"{len(w)}-{sum(w)}")
+    def test_product_of_every_split(self, w):
+        want = normal_form([w])
+        for k in range(1, len(w)):
+            assert product(element(w[:k]), element(w[k:])) == want, k
+        # admissible factors, whose concatenations can violate only where they meet
+        x, y = normalize(element(w[:6])), normalize(element(w[6:]))
+        both = element(*(u + v for u in x for v in y))
+        assert product(x, y) == normalize(both, "rightmost") == want
+
+    @pytest.mark.parametrize("w", WORDS, ids=lambda w: f"{len(w)}-{sum(w)}")
+    def test_differential(self, w):
+        terms = [w[:i] + pair + w[i + 1:] for i, n in enumerate(w) for pair in generator_diff(n)]
+        want = oracle_differential(element(w))
+        assert differential(element(w)) == want
+        assert normalize(element(*terms), "rightmost") == want
+
+    @pytest.mark.parametrize("w", WORDS, ids=lambda w: f"{len(w)}-{sum(w)}")
+    def test_kernel_restores_its_word(self, w):
+        i = next(i for i in range(len(w) - 1) if w[i + 1] > 2 * w[i])
+        cur, done = list(w), set()
+        lambda_algebra._rewrite(cur, i, i + 2, len(w) - 1, done)
+        assert cur == list(w)
+        assert frozenset(done) == normal_form([w])
+
+
 def mixed_element(rng: random.Random):
     """A sum of up to two admissible words, up to two words drawn without
     regard to admissibility, and the unit or an admissible word ending in

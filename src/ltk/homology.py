@@ -12,9 +12,9 @@ differential before they are returned.
 Ext dimensions need ranks only, and take a path of their own: rank_out
 eliminates the stored rows, read straight off their arrays, against
 their pivots alone, so no tags are kept and only the echelon rows are
-held.  The rank out of each bidegree is kept in a memo of plain ints,
-filled by rank_out.  slice_at and transfer.find_preimage feed the same
-rows, through differential_rows, to a tagged span.
+held.  The rank out of each bidegree is cached as a plain int
+(_rank_out).  slice_at and transfer.find_preimage feed the same rows,
+through differential_rows, to a tagged span.
 
 differential_rows builds the row of an admissible word n T, first letter
 n, from d(n T) = d(lambda_n) T + lambda_n d(T).  Lambda(m), spanned by
@@ -37,16 +37,14 @@ arrays of the positions of their bits, 2.6 a row on average over the
 cells s + d <= 21.  Each cell is built only as far as the cells that
 read it need, its words with first letter at most 2n, and to its end
 when its own rows are asked for; so every row is built at most once per
-process.  No basis is cached but in the slices slice_at keeps and in one
-slot, _CARRIED: a cell built whole leaves its codomain there, and the
-next cell built takes its words from the slot if they are its own (the
-next cell on the diagonal in a chart pass, s ascending) and enumerates
-them otherwise.  slice_at enumerates prev_basis, leaves it in the slot
-for the boundary rows it builds, unless the slot holds its own basis
-already, and takes its basis from the codomain they leave.  Each build takes or drops the slot before it enumerates, so
-no stale basis is held while the next is built.  A cell read below
-another takes its words and codomain from that one's block of n, the
-letter n stripped.
+process.  No basis is cached but in the slices slice_at keeps and in
+_basis, which holds the two enumerated last: a cell built whole takes
+its words and its codomain from it, so the next cell on the diagonal in
+a chart pass (s ascending) finds its words there, and slice_at takes
+prev_basis before the boundary rows that read it and its own basis from
+the codomain they leave.  A basis is a pure function of its bidegree,
+so a cached one is never stale.  A cell read below another takes its
+words and codomain from that one's block of n, the letter n stripped.
 
 For s >= d the rank out of (s, d) is the rank out of (d-1, d), so the
 memo keys only cells with s < d, and the rows of (s, d), s > d, are kept
@@ -141,28 +139,16 @@ def _built(s: int, d: int) -> int:
     return len(_stored(s, d)[0]) - 1
 
 
-# the codomain _whole_rows enumerated last, ((s, d), words) in one tuple
-# so that no reader pairs one cell's key with another's words.  A basis
-# is a pure function of its bidegree: a carried one can be stale in
-# memory, never wrong
-_CARRIED: Optional[tuple[tuple[int, int], tuple[LambdaMonomial, ...]]] = None
-
-
+# the last two bases enumerated: a cell's words and its codomain.  The
+# next cell on the diagonal reads that codomain as its words, and a slice
+# built after ext_dimension at its cell finds both of its bases here
+@functools.lru_cache(maxsize=2)
 def _basis(s: int, d: int) -> tuple[LambdaMonomial, ...]:
-    """admissible_basis(s, d), taken from the slot if it holds that
-    basis; the slot is emptied either way."""
-    global _CARRIED
-    carried, _CARRIED = _CARRIED, None
-    if carried is not None and carried[0] == (s, d):
-        return carried[1]
     return la.admissible_basis(s, d)
 
 
 def _whole_rows(s: int, d: int) -> tuple[array, array]:
-    """The rows of all of the basis (s, d), built where not yet stored;
-    the basis is then taken through _basis, and the codomain enumerated
-    and left in the slot for the next cell on the diagonal."""
-    global _CARRIED
+    """The rows of all of the basis (s, d), built where not yet stored."""
     if s < 0 or d < 0:
         raise ValueError("bidegree components must be non-negative")
     # padding with zeros carries the rows of (d, d) onto (s, d); a cell
@@ -171,9 +157,7 @@ def _whole_rows(s: int, d: int) -> tuple[array, array]:
     if (s, d) not in _WHOLE:
         words = _basis(s, d)
         if _built(s, d) < len(words):
-            codomain = la.admissible_basis(s + 1, d - 1) if d else ()
-            _extend(s, d, words, codomain)
-            _CARRIED = (s + 1, d - 1), codomain
+            _extend(s, d, words, _basis(s + 1, d - 1) if d else ())
         _WHOLE.add((s, d))
     return _stored(s, d)
 
@@ -244,50 +228,44 @@ def _tail_rows(n: int, tails: list[LambdaMonomial], codomain: Sequence[LambdaMon
     return _stored(s, d)
 
 
-# rank of the differential out of (s, d), into (s+1, d-1); only ints are
-# kept, since a cached span or slice would hold its bases in memory
-_RANK_OUT: dict[tuple[int, int], int] = {}
-
-
 def rank_out(s: int, d: int) -> int:
     """Rank of the differential from (s, d) to (s+1, d-1), computed once
     and without tags; for s >= d it is the rank out of (d - 1, d)."""
     if s < 0 or d < 1:
         return 0
-    s = min(s, d - 1)
-    rank = _RANK_OUT.get((s, d))
-    if rank is None:
-        starts, cols = _whole_rows(s, d)
-        pivots: dict[int, int] = {}  # top bit -> echelon row
-        start = 0
-        for end in starts[1:]:
-            row = 0
-            for i in cols[start:end]:
-                row |= 1 << i
-            start = end
-            while row:
-                top = row.bit_length() - 1
-                pivot = pivots.get(top)
-                if pivot is None:
-                    pivots[top] = row
-                    break
-                row ^= pivot
-        rank = _RANK_OUT[s, d] = len(pivots)
-    return rank
+    return _rank_out(min(s, d - 1), d)
+
+
+# only ints are kept, since a cached span or slice would hold its bases
+# in memory
+@functools.cache
+def _rank_out(s: int, d: int) -> int:
+    starts, cols = _whole_rows(s, d)
+    pivots: dict[int, int] = {}  # top bit -> echelon row
+    start = 0
+    for end in starts[1:]:
+        row = 0
+        for i in cols[start:end]:
+            row |= 1 << i
+        start = end
+        while row:
+            top = row.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 @functools.cache
 def slice_at(s: int, d: int) -> BidegreeSlice:
     """Build (and cache) the chain slice at bidegree (s, d)."""
-    global _CARRIED
     boundaries, prev_basis = f2core.Span(), ()
     if s >= 1:
-        prev_basis = la.admissible_basis(s - 1, d + 1)
-        # its rows take their words from the slot, and leave their
-        # codomain, the basis (s, d), in it; a slot that holds (s, d)
-        # already was left by those rows, built whole
-        if _CARRIED is None or _CARRIED[0] != (s, d):
-            _CARRIED = (s - 1, d + 1), prev_basis
+        # taken before its rows, which then read it from _basis and leave
+        # their codomain, the basis (s, d), there
+        prev_basis = _basis(s - 1, d + 1)
         for i, row in enumerate(differential_rows(s - 1, d + 1)):
             boundaries.add(row, 1 << i)
     return BidegreeSlice(
@@ -340,8 +318,8 @@ def ext_dimension(s: int, d: int) -> int:
     """dim of the cohomology at (s, d): cycles modulo boundaries.
 
     By rank-nullity this is the basis size less the ranks of the
-    differentials out of (s, d) and into it, both read from the rank
-    memo; no slice is built.
+    differentials out of (s, d) and into it, both read through rank_out;
+    no slice is built.
     """
     if s < 0 or d < 0:
         raise ValueError("bidegree components must be non-negative")

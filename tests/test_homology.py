@@ -291,20 +291,21 @@ class TestExtDimension:
                 assert ext_dimension(s, d) == expected, (s, d)
 
 
+def clear_homology_caches() -> None:
+    """Empty the stored rows and every functools cache in homology, found
+    by a walk over the module, so that a cache added later is emptied too."""
+    homology._ROWS.clear()
+    homology._WHOLE.clear()
+    for value in vars(homology).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 @pytest.fixture()
 def fresh_caches():
-    """Empty the rank memo, the stored rows, the carried basis and the
-    caches that read or fill them."""
-    def clear():
-        homology._RANK_OUT.clear()
-        homology._ROWS.clear()
-        homology._WHOLE.clear()
-        homology._CARRIED = None
-        slice_at.cache_clear()
-        ext_dimension.cache_clear()
-    clear()
+    clear_homology_caches()
     yield
-    clear()
+    clear_homology_caches()
 
 
 def counting_rows(monkeypatch) -> dict:
@@ -334,6 +335,14 @@ def counting_bases(monkeypatch) -> Counter:
         return inner(s, d)
     monkeypatch.setattr(lambda_algebra, "admissible_basis", counted)
     return calls
+
+
+def cached_rank(s: int, d: int) -> int:
+    """The rank _rank_out holds for (s, d); it must be stored already."""
+    misses = homology._rank_out.cache_info().misses
+    rank = homology._rank_out(s, d)
+    assert homology._rank_out.cache_info().misses == misses, (s, d)
+    return rank
 
 
 class TestRankMemo:
@@ -407,10 +416,10 @@ class TestRankMemo:
         # rank_out is the memo's one writer: a slice stores the rows into
         # its cell, and rank_out reads them later
         sl = slice_at(4, 10)
-        assert homology._RANK_OUT == {}
+        assert homology._rank_out.cache_info().currsize == 0
         built = counting_rows(monkeypatch)
         assert ext_dimension(4, 10) == len(sl.basis) - rank_out(4, 10) - len(sl.boundaries)
-        assert homology._RANK_OUT[3, 11] == len(sl.boundaries)
+        assert cached_rank(3, 11) == len(sl.boundaries)
         # the rows of (3, 11) are not built again, the outgoing rows of
         # (4, 10) are new, and the cells below (4, 10) are built only as
         # far as it reads them
@@ -418,10 +427,10 @@ class TestRankMemo:
         assert built[4, 10] == len(sl.basis)
         assert all(s == 3 and d < 10 for s, d in built if (s, d) != (4, 10))
         # past the diagonal the incoming rank is the rank out of (d - 1, d)
-        known = dict(homology._RANK_OUT)
+        known = homology._rank_out.cache_info()
         sl = slice_at(7, 3)
-        assert homology._RANK_OUT == known
-        assert rank_out(6, 4) == len(sl.boundaries) == homology._RANK_OUT[3, 4]
+        assert homology._rank_out.cache_info() == known
+        assert rank_out(6, 4) == len(sl.boundaries) == cached_rank(3, 4)
 
     def test_padded_cells_enumerate_no_basis(self, fresh_caches, monkeypatch):
         # s > d: the size is counted, and the ranks read from (d - 1, d),
@@ -441,8 +450,9 @@ class TestRankMemo:
 
 
 class TestCarriedBasis:
-    """_whole_rows leaves the codomain it enumerated in one slot, and the
-    next cell on the diagonal, or slice_at, takes its words from it."""
+    """_basis carries the last two bases from cell to cell: _whole_rows
+    takes its words and its codomain through it, so the next cell on the
+    diagonal, or slice_at, finds its words there."""
 
     def test_a_chart_pass_enumerates_each_basis_once(self, fresh_caches, monkeypatch):
         # the chart workload's pass: s ascending within each diagonal
@@ -451,6 +461,27 @@ class TestCarriedBasis:
             for s in range(t + 1):
                 ext_dimension(s, t - s)
         assert calls and max(calls.values()) == 1, calls.most_common(3)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_shuffled_chart_pass_enumerates_each_basis_at_most_twice(
+            self, seed, fresh_caches, monkeypatch):
+        # the chart workload's order: t shuffled, s ascending within each
+        order = list(range(22))
+        random.Random(seed).shuffle(order)
+        calls = counting_bases(monkeypatch)
+        for t in order:
+            for s in range(t + 1):
+                ext_dimension(s, t - s)
+        assert calls and max(calls.values()) <= 2, calls.most_common(3)
+
+    def test_the_paper_cells_enumerate_each_prev_basis_once(self, fresh_caches, monkeypatch):
+        # verify's traffic: the Ext dimension at a cell, then its slice
+        calls = counting_bases(monkeypatch)
+        for s, d in [(5, 14), (5, 20), (5, 24)]:
+            ext_dimension(s, d)
+            slice_at(s, d)
+        assert [calls[4, d + 1] for d in (14, 20, 24)] == [1, 1, 1], calls
+        assert sum(calls.values()) <= 15, calls
 
     def test_a_cold_slice_enumerates_its_basis_once(self, fresh_caches, monkeypatch):
         made = {}
@@ -465,29 +496,27 @@ class TestCarriedBasis:
         # the basis, prev_basis (4, 15), whose rows are built, and next_basis
         assert calls == {(5, 14): 1, (4, 15): 1, (6, 13): 1}
         # the slice holds the very tuples the boundary rows read and
-        # enumerated, and the slot is empty again
+        # enumerated
         assert sl.basis is made[5, 14]
         assert sl.prev_basis is made[4, 15]
-        assert homology._CARRIED is None
         assert sl.basis == admissible_basis(5, 14)
         assert sl.prev_basis == admissible_basis(4, 15)
 
     def test_a_slice_keeps_the_basis_its_rows_left(self, fresh_caches, monkeypatch):
-        # rows built whole, as ext_dimension builds them, leave (5, 14) in
-        # the slot, and slice_at takes it rather than carry its prev_basis
+        # rows built whole, as ext_dimension builds them, leave their words
+        # (4, 15) and codomain (5, 14) in the cache, and slice_at takes both
         homology._whole_rows(4, 15)
-        assert homology._CARRIED[0] == (5, 14)
         calls = counting_bases(monkeypatch)
         sl = slice_at(5, 14)
-        assert calls == {(4, 15): 1, (6, 13): 1}
+        assert calls == {(6, 13): 1}
         assert sl.basis == admissible_basis(5, 14)
-        assert homology._CARRIED is None
+        assert sl.prev_basis == admissible_basis(4, 15)
 
     @pytest.mark.parametrize("cell", [(9, 4), (7, 5), (6, 5), (3, 0)])
     def test_a_cold_slice_past_the_diagonal_enumerates_each_basis_once(
             self, cell, fresh_caches, monkeypatch):
         # the rows of prev_basis (s - 1, d + 1) are those of (d + 1, d + 1)
-        # when s - 1 > d + 1: the slot, keyed by prev_basis's own bidegree,
+        # when s - 1 > d + 1: the cache, keyed by prev_basis's own bidegree,
         # does not stand in for that basis
         calls = counting_bases(monkeypatch)
         s, d = cell
@@ -499,13 +528,13 @@ class TestCarriedBasis:
             image = homology.row(differential(frozenset({w})), sl.basis)
             assert sl.boundaries.reduce(image)[0] == 0, (cell, w)
 
-    def test_a_stale_slot_is_harmless(self, fresh_caches):
+    def test_a_stale_basis_is_harmless(self, fresh_caches):
         cells = [(s, t - s) for t in range(4, 17) for s in range(t + 1)]
         rows = {cell: list(homology.differential_rows(*cell)) for cell in cells}
         dims = {cell: ext_dimension(*cell) for cell in cells}
 
         def clear():
-            homology._RANK_OUT.clear()
+            homology._rank_out.cache_clear()
             homology._ROWS.clear()
             homology._WHOLE.clear()
             ext_dimension.cache_clear()
@@ -514,15 +543,35 @@ class TestCarriedBasis:
         shuffled = random.Random(43).sample(cells, len(cells))
         # the last order takes the stale basis first
         for order in (descending, shuffled, [(3, 8)] + shuffled):
-            # the slot keeps the codomain (3, 8) of a cell whose rows are
-            # then dropped
+            # the cache keeps the basis (3, 8) of a cell whose rows are
+            # dropped
             clear()
-            homology._whole_rows(2, 9)
-            assert homology._CARRIED[0] == (3, 8)
-            clear()
+            homology._basis(3, 8)
             for cell in order:
                 assert ext_dimension(*cell) == dims[cell], cell
                 assert list(homology.differential_rows(*cell)) == rows[cell], cell
+
+
+class TestCacheRegistry:
+    def test_the_fixture_leaves_no_homology_memo_filled(self, fresh_caches):
+        for t in range(13):
+            for s in range(t + 1):
+                ext_dimension(s, t - s)
+        slice_at(4, 10)
+        assert is_cycle(catalog.entry("d0").element)
+        memos = {name: value for name, value in vars(homology).items()
+                 if hasattr(value, "cache_info")}
+        assert {"_basis", "_rank_out", "slice_at", "ext_dimension",
+                "_word_differential"} <= memos.keys()
+        assert all(memo.cache_info().currsize for memo in memos.values())
+        clear_homology_caches()
+        assert {name: memo.cache_info().currsize for name, memo in memos.items()
+                if memo.cache_info().currsize} == {}
+        # a memo kept in a container is not found by the walk: it must be
+        # emptied by name, as _ROWS and _WHOLE are
+        assert [name for name, value in vars(homology).items()
+                if not name.startswith("__") and isinstance(value, (dict, set, list))
+                and value] == []
 
 
 class TestRankPath:
@@ -586,8 +635,8 @@ class TestRankPath:
             for seed in range(3):
                 homology._ROWS.clear()
                 homology._WHOLE.clear()
-                # the slot holds a basis no thread has taken yet
-                homology._CARRIED = (3, 10), admissible_basis(3, 10)
+                # the cache holds a basis no thread has taken yet
+                homology._basis(3, 10)
                 orders = [random.Random(seed * 8 + i).sample(cells, len(cells))
                           for i in range(8)]
                 with ThreadPoolExecutor(max_workers=8) as pool:

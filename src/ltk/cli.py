@@ -154,8 +154,11 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     e = _load_lambda(args)
-    # d of any word, admissible or not, lands in (s + 1, d - 1)
-    transfer.guard(args.max_basis, words=[(len(w) + 1, sum(w) - 1) for w in e])
+    # d rewrites each inadmissible word in its own (s, d), as normalize
+    # does, then lands in (s + 1, d - 1)
+    transfer.guard(args.max_basis,
+                   words=[(len(w) + 1, sum(w) - 1) for w in e]
+                   + [(len(w), sum(w)) for w in e if not la.is_admissible(w)])
     _emit_element(args, la.differential(e))
     return OK
 

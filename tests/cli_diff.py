@@ -70,6 +70,9 @@ DEEP = ("L[1,0,0,3,0,2,0,2,0,2,0,2] + L[1,0,0,3,0,2,0,2,0,2,0,2,0,2,0,2] +\n"
         "L[1,0,0,3,0,2,0,2,0,2,0,2,0,2,0,2,0,2,0,2] + L[0,0,4,1,1,0,9,4,0,0,3,0] +\n"
         "L[1,0,6,1,0,0,6,0,2,0,2,1,1,1,0,0] +\n"
         "L[1,1,0,2,2,0,2,2,0,0,3,0,0,0,5,2,1,0,0,0]\n")
+# a word at (22, 22), over the cap, whose differential lands in (23, 21),
+# under it; diff rewrites the word first, so it is refused
+LONG = "L[" + "0," * 21 + "22]\n"
 
 # sums of words of length 4 and degree 20: admissible ones, some ending
 # in zeros, alone and mixed with inadmissible ones
@@ -197,6 +200,8 @@ COMMANDS: list[list[str]] = [
     ["primitive-basis", "--rank", "7", "--deg", "40"],
     ["transfer-image", "--s", "5", "--deg", "100"],
     ["basis", "--s", "2", "--deg", "3", "--force"],
+    ["diff", "--in", "long.f2elt"],
+    ["diff", "--in", "long.f2elt", "--force"],
 ]
 
 
@@ -212,6 +217,7 @@ def write_inputs(tree: str, workdir: str) -> None:
     for file, (name, letters) in PRODUCTS.items():
         files[file] = catalog_text(name).replace("]", letters + "]")
     files.update(MALFORMED, **{"chains.f2elt": CHAINS, "deep.f2elt": DEEP,
+                               "long.f2elt": LONG,
                                "admissible.f2elt": ADMISSIBLE,
                                "blend.f2elt": BLEND, "mixed_degree.f2elt": MIXED_DEGREE,
                                "zero.f2elt": ZERO, "mixed_lambda.f2elt": MIXED_LAMBDA,

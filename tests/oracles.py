@@ -1,15 +1,23 @@
 """Independent oracles shared by the test modules.
 
-Everything here is deliberately written from scratch against the
-defining formulas (Pascal's recurrence, stars-and-bars enumeration,
-polynomial-side duality) so it shares no code path with the package.
+The Lambda reference (normal forms, the defining relation, the
+differential, admissible counts, binomial parities) is the benchmark's,
+perfbench/reference.py, loaded here once by file path as `reference`:
+tests and benchmark trust one implementation.  This module keeps what
+the reference lacks: brute enumerations, the right Steenrod action by
+polynomial duality, and linear algebra on 0/1 lists.  Like the
+reference, it shares no code with the package.
 """
 
 from __future__ import annotations
 
-import functools
+import importlib.util
+from pathlib import Path
 
-PASCAL_LIMIT = 300
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+_spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 # catalog names whose payloads represent cohomology classes (and so must
 # be cycles)
@@ -18,107 +26,23 @@ EXT_CLASS_NAMES = (
 )
 
 
-@functools.lru_cache(maxsize=1)
-def pascal_mod2_table(limit: int = PASCAL_LIMIT) -> list[list[int]]:
-    """C(n, k) mod 2 for 0 <= k <= n <= limit via the additive recurrence."""
-    rows = [[1]]
-    for n in range(1, limit + 1):
-        prev = rows[-1]
-        row = [1]
-        for k in range(1, n):
-            row.append((prev[k - 1] + prev[k]) % 2)
-        row.append(1)
-        rows.append(row)
-    return rows
-
-
-def binom2(n: int, k: int) -> int:
-    """Pascal-table binomial mod 2, zero outside 0 <= k <= n."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return pascal_mod2_table()[n][k]
-
-
-def adem_rhs(k: int, m: int) -> set[tuple[int, int]]:
-    """The two-letter rewriting of (k, m), m >= 2k+1, by direct summation."""
-    s = m - 2 * k - 1
-    out = set()
-    for j in range(0, s + 1):
-        if binom2(s - j - 1, j):
-            out.add((k + s - j, 2 * k + 1 + j))
-    return out
-
-
-@functools.cache
-def _prepend(a: int, tail: tuple[int, ...]) -> frozenset:
-    """Normal form of the letter a followed by the admissible word tail.
-
-    If (a, tail[0]) violates, it is rewritten by adem_rhs; each new pair
-    (x, y) is put in front of the rest of the tail by prepending y, then
-    x, to admissible words.  x > a, so the recursion ends.
-    """
-    if not tail or tail[0] <= 2 * a:
-        return frozenset({(a,) + tail})
-    out: set = set()
-    for x, y in adem_rhs(a, tail[0]):
-        for rest in _prepend(y, tail[1:]):
-            out ^= _prepend(x, rest)
-    return frozenset(out)
-
-
-def normal_form(words) -> frozenset:
-    """Admissible normal form of a sum of words, built from the right:
-    each word's letters are prepended, last to first, to the normal form
-    of the letters after them."""
-    out: set = set()
-    for w in words:
-        nf = {()}
-        for a in reversed(tuple(w)):
-            acc: set = set()
-            for tail in nf:
-                acc ^= _prepend(a, tail)
-            nf = acc
-        out ^= nf
-    return frozenset(out)
-
-
-def generator_diff(n: int) -> set[tuple[int, int]]:
-    """Differential of a single generator by direct summation."""
-    out = set()
-    for j in range(1, n + 1):
-        if binom2(n - j, j):
-            out.add((n - j, j - 1))
-    return out
-
-
-def oracle_differential(e) -> frozenset:
-    """The differential by the Leibniz rule over generator_diff, put in
-    normal form by normal_form."""
-    return normal_form([w[:i] + pair + w[i + 1:]
-                        for w in e for i, n in enumerate(w) for pair in generator_diff(n)])
-
-
-def all_words(s: int, d: int):
-    """Every length-s word of total degree d (no admissibility filter)."""
+def compositions(s: int, d: int):
+    """Every length-s tuple of total degree d: words without the
+    admissibility filter, or exponent tuples."""
     if s == 0:
         if d == 0:
             yield ()
         return
     for head in range(d + 1):
-        for tail in all_words(s - 1, d - head):
+        for tail in compositions(s - 1, d - head):
             yield (head,) + tail
 
 
 def admissible_words_brute(s: int, d: int) -> list[tuple[int, ...]]:
     return sorted(
-        w for w in all_words(s, d)
+        w for w in compositions(s, d)
         if all(b <= 2 * a for a, b in zip(w, w[1:]))
     )
-
-
-def compositions(s: int, d: int):
-    """Exponent tuples of length s summing to d."""
-    yield from all_words(s, d)
 
 
 # --- polynomial-side oracle for the right Steenrod action -----------------
@@ -135,31 +59,20 @@ def poly_sq_monomial(exps: tuple[int, ...], i: int) -> set[tuple[int, ...]]:
         nxt = set()
         for partial, rem in states:
             for ia in range(rem + 1):
-                if binom2(a, ia):
-                    key = (partial + (a + ia,), rem - ia)
-                    if key in nxt:
-                        nxt.discard(key)
-                    else:
-                        nxt.add(key)
+                if reference.odd(a, ia):
+                    nxt ^= {(partial + (a + ia,), rem - ia)}
         states = nxt
     return {partial for partial, rem in states if rem == 0}
 
 
 def sq_right_dual_oracle(e: frozenset, i: int) -> frozenset:
-    """(e)Sq^i computed through the polynomial duality."""
+    """(e)Sq^i of a homogeneous e, through the duality: a is a term
+    exactly when Sq^i(x^a) has an odd number of terms in e."""
     if not e:
         return frozenset()
-    rank = len(next(iter(e)))
-    degree = sum(next(iter(e)))
-    out = set()
-    for a in compositions(rank, degree - i):
-        pairing = 0
-        for m in poly_sq_monomial(tuple(a), i):
-            if m in e:
-                pairing ^= 1
-        if pairing:
-            out.add(tuple(a))
-    return frozenset(out)
+    m = next(iter(e))
+    return frozenset(a for a in compositions(len(m), sum(m) - i)
+                     if len(poly_sq_monomial(a, i) & e) % 2)
 
 
 def sq_right_dual_table(rank: int, degree: int, i: int) -> dict:
@@ -176,16 +89,10 @@ def sq_right_dual_table(rank: int, degree: int, i: int) -> dict:
 def psi_rank2_oracle(t1: int, t2: int) -> set[tuple[int, int]]:
     """Raw two-letter words of the transfer image of a^(t1) a^(t2).
 
-    Peeling the first exponent: sum over j >= t1 of the lowered second
-    exponent followed by the peeled letter.
+    Peeling the first exponent: sum over i >= 0 of the second exponent
+    lowered by i, followed by the peeled letter t1 + i.
     """
-    out = set()
-    for j in range(t1, t1 + t2 // 2 + 1):
-        i = j - t1
-        if binom2(t2 - i, i):
-            w = (t2 - i, j)
-            out ^= {w}
-    return out
+    return {(t2 - i, t1 + i) for i in range(t2 // 2 + 1) if reference.odd(t2 - i, i)}
 
 
 def divided_multiply(m1: tuple[int, ...], m2: tuple[int, ...]) -> frozenset:
@@ -193,7 +100,7 @@ def divided_multiply(m1: tuple[int, ...], m2: tuple[int, ...]) -> frozenset:
     a^(i) a^(j) = C(i+j, i) a^(i+j) in each coordinate."""
     if len(m1) != len(m2):
         raise ValueError("rank mismatch")
-    if any(not binom2(a + b, a) for a, b in zip(m1, m2)):
+    if any(not reference.odd(a + b, a) for a, b in zip(m1, m2)):
         return frozenset()
     return frozenset({tuple(a + b for a, b in zip(m1, m2))})
 
@@ -203,10 +110,6 @@ def divided_multiply(m1: tuple[int, ...], m2: tuple[int, ...]) -> frozenset:
 # A linear map is given by its image rows: rows[j] is the bit-packed image
 # of the j-th domain vector.  The helpers unpack to lists of 0/1 and share
 # no code with ltk.f2core.
-
-def _bits(x: int, n: int) -> list[int]:
-    return [(x >> i) & 1 for i in range(n)]
-
 
 def _pack(v: list[int]) -> int:
     return sum(bit << i for i, bit in enumerate(v))
@@ -239,8 +142,7 @@ def kernel_basis(rows: list[int], width: int) -> list[int]:
     other bits on pivot columns.
     """
     n = len(rows)
-    cols = [_bits(row, width) for row in rows]
-    mat = [[cols[j][i] for j in range(n)] for i in range(width)]
+    mat = [[(rows[j] >> i) & 1 for j in range(n)] for i in range(width)]
     pivots = []
     r = 0
     for c in range(n):

@@ -17,7 +17,7 @@ from ltk.cli import FALSIFIED, OK, USAGE, _parser, run
 from ltk.lambda_algebra import product
 
 from . import cli_diff
-from .oracles import normal_form
+from .oracles import reference
 
 
 @pytest.fixture()
@@ -68,7 +68,7 @@ class TestElementCommands:
         code, out, err = capture("normalize", "--in", path, *fmt)
         assert code == OK and err == ""
         text = json.loads(out)["element"] if fmt else out.strip()
-        want = normal_form(elements_io.parse_lambda(cli_diff.DEEP))
+        want = reference.normalize(elements_io.parse_lambda(cli_diff.DEEP))
         assert elements_io.parse_lambda(text) == want
 
     def test_steenrod(self, capture, tmp_path):
@@ -396,6 +396,15 @@ class TestElementGuard:
         code, out, err = capture(command, "--in", path, "--force")
         assert code == OK
         assert out.startswith("L[") and err == ""
+
+    def test_diff_guards_the_words_it_rewrites(self, capture, tmp_path):
+        # over the cap at (22, 22), where d rewrites the word, not at (23, 21)
+        path = write(tmp_path, "long.f2elt", cli_diff.LONG)
+        refused = capture("diff", "--in", path)
+        assert refused == capture("normalize", "--in", path)
+        assert refused[:2] == (USAGE, "")
+        assert refused[2].startswith("resource limit: admissible basis at (22, 22) ")
+        assert capture("diff", "--in", path, "--force") == (OK, "0\n", "")
 
     @pytest.mark.parametrize("command, text, expected", [
         ("normalize", "L[1000000000,1000000000]", "L[1000000000,1000000000]\n"),

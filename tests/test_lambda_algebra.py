@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import functools
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +25,7 @@ from ltk.lambda_algebra import (
     sq0,
 )
 
-from .oracles import (adem_rhs, admissible_words_brute, generator_diff, normal_form,
-                      oracle_differential)
+from .oracles import REFERENCE, admissible_words_brute, reference
 
 
 def random_word(rng: random.Random, max_len: int = 5, max_idx: int = 30) -> tuple[int, ...]:
@@ -101,7 +102,7 @@ class TestAdemExpansion:
     def test_against_direct_summation(self):
         for k in range(0, 10):
             for m in range(2 * k + 1, 2 * k + 25):
-                assert set(normalize(element((k, m)))) == adem_rhs(k, m), (k, m)
+                assert set(normalize(element((k, m)))) == reference.relation(k, m), (k, m)
 
 
 class TestNormalize:
@@ -160,14 +161,15 @@ class TestNormalize:
 
 
 class TestAgainstNormalFormOracle:
-    """normalize against tests.oracles.normal_form, which builds normal
-    forms from the right and shares no code with the package."""
+    """normalize against the benchmark's reference, perfbench/reference.py,
+    which builds normal forms from the right and shares no code with the
+    package."""
 
     def test_random_words_both_strategies(self):
         rng = random.Random(101)
         for _ in range(300):
             w = random_word(rng, max_len=6, max_idx=40)
-            want = normal_form([w])
+            want = reference.normalize([w])
             assert normalize(element(w), "leftmost") == want, w
             assert normalize(element(w), "rightmost") == want, w
 
@@ -177,7 +179,7 @@ class TestAgainstNormalFormOracle:
             words = [random_word(rng, max_len=6, max_idx=40)
                      for _ in range(rng.randrange(1, 5))]
             e = element(*words)
-            want = normal_form(e)
+            want = reference.normalize(e)
             assert normalize(e, "leftmost") == want, words
             assert normalize(e, "rightmost") == want, words
 
@@ -185,10 +187,22 @@ class TestAgainstNormalFormOracle:
         rng = random.Random(107)
         for _ in range(100):
             x, y = random_admissible(rng), random_admissible(rng)
-            assert product(element(x), element(y)) == normal_form([x + y]), (x, y)
-            raw = [x[:i] + pair + x[i + 1:]
-                   for i, n in enumerate(x) for pair in generator_diff(n)]
-            assert differential(element(x)) == normal_form(raw), x
+            assert product(element(x), element(y)) == reference.normalize([x + y]), (x, y)
+            assert differential(element(x)) == reference.differential([x]), x
+
+
+def test_the_reference_shares_no_code_with_the_package():
+    """The reference and the test oracles import nothing under src/ and
+    nothing relative: one reference is worth trusting only while it
+    shares no code with the package."""
+    package = {path.name.partition(".")[0] for path in (REFERENCE.parents[1] / "src").iterdir()}
+    assert "ltk" in package
+    for path in (REFERENCE, Path(__file__).with_name("oracles.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                assert not getattr(node, "level", 0), (path.name, node.lineno)
+                assert not {n.partition(".")[0] for n in names} & package, (path.name, names)
 
 
 class TestResumeIndex:
@@ -200,7 +214,7 @@ class TestResumeIndex:
         assert is_admissible((1, 0))
         assert all(a > 2 * 1 for a, _ in normalize(element((0, 6))))
         want = element((2, 3, 2), (3, 3, 1))
-        assert normal_form([(1, 0, 6)]) == want
+        assert reference.normalize([(1, 0, 6)]) == want
         assert normalize(element((1, 0, 6))) == want
         assert normalize(element((1, 0, 6)), "rightmost") == want
 
@@ -209,13 +223,13 @@ class TestResumeIndex:
         assert is_admissible((3, 6))
         assert normalize(element((0, 3))) == element((2, 1))
         want = element((2, 3, 4), (2, 4, 3))
-        assert normal_form([(0, 3, 6)]) == want
+        assert reference.normalize([(0, 3, 6)]) == want
         assert normalize(element((0, 3, 6))) == want
         assert normalize(element((0, 3, 6)), "rightmost") == want
 
     def test_violations_left_and_right_of_a_rewrite_in_longer_words(self):
         for w in [(5, 1, 0, 6, 3), (2, 0, 3, 6, 1, 0, 6), (0, 3, 6, 0, 3, 6)]:
-            want = normal_form([w])
+            want = reference.normalize([w])
             assert want, w
             assert normalize(element(w)) == want, w
             assert normalize(element(w), "rightmost") == want, w
@@ -237,14 +251,14 @@ class TestDeepRewriting:
 
     @pytest.mark.parametrize("w", WORDS, ids=lambda w: f"{len(w)}-{sum(w)}")
     def test_normalize(self, w):
-        want = normal_form([w])
+        want = reference.normalize([w])
         assert want
         assert normalize(element(w)) == want
         assert normalize(element(w), "rightmost") == want
 
     @pytest.mark.parametrize("w", WORDS, ids=lambda w: f"{len(w)}-{sum(w)}")
     def test_product_of_every_split(self, w):
-        want = normal_form([w])
+        want = reference.normalize([w])
         for k in range(1, len(w)):
             assert product(element(w[:k]), element(w[k:])) == want, k
         # admissible factors, whose concatenations can violate only where they meet
@@ -254,8 +268,9 @@ class TestDeepRewriting:
 
     @pytest.mark.parametrize("w", WORDS, ids=lambda w: f"{len(w)}-{sum(w)}")
     def test_differential(self, w):
-        terms = [w[:i] + pair + w[i + 1:] for i, n in enumerate(w) for pair in generator_diff(n)]
-        want = oracle_differential(element(w))
+        terms = [w[:i] + pair + w[i + 1:]
+                 for i, n in enumerate(w) for pair in reference.generator_differential(n)]
+        want = reference.differential(element(w))
         assert differential(element(w)) == want
         assert normalize(element(*terms), "rightmost") == want
 
@@ -265,7 +280,7 @@ class TestDeepRewriting:
         cur, done = list(w), set()
         lambda_algebra._rewrite(cur, i, i + 2, len(w) - 1, done)
         assert cur == list(w)
-        assert frozenset(done) == normal_form([w])
+        assert frozenset(done) == reference.normalize([w])
 
 
 def mixed_element(rng: random.Random):
@@ -281,7 +296,7 @@ def mixed_element(rng: random.Random):
 class TestClassifiedInputs:
     """product, differential and sq0 hand the words they make from
     admissible words to the rewriting kernel classified, and the others
-    through normalize; both paths against tests.oracles.normal_form."""
+    through normalize; both paths against the reference's normalize."""
 
     # d(lam_4) = lam_3 lam_0 + lam_2 lam_1: in (4, 3) both terms violate
     # right after the new pair, in (4, 2) only (3, 0, 2) does
@@ -295,18 +310,17 @@ class TestClassifiedInputs:
         pairs = [(x, y) for x in self.FIXED for y in self.FIXED]
         pairs += [(mixed_element(rng), mixed_element(rng)) for _ in range(150)]
         for x, y in pairs:
-            assert product(x, y) == normal_form([u + v for u in x for v in y]), (x, y)
+            assert product(x, y) == reference.normalize([u + v for u in x for v in y]), (x, y)
 
     def test_differential(self):
         rng = random.Random(113)
         for e in self.FIXED + [mixed_element(rng) for _ in range(200)]:
-            assert differential(e) == oracle_differential(e), e
+            assert differential(e) == reference.differential(e), e
 
     def test_sq0(self):
         rng = random.Random(127)
         for e in self.FIXED + [mixed_element(rng) for _ in range(200)]:
-            want = normal_form([tuple(2 * t + 1 for t in w) for w in e])
-            assert sq0(e) == want, e
+            assert sq0(e) == reference.square(e), e
 
     def test_sq0_keeps_admissible_words_admissible(self):
         for s in range(0, 5):
@@ -347,7 +361,7 @@ class TestDifferential:
     def test_generators_against_direct_summation(self):
         for n in range(0, 41):
             got = differential(element((n,)))
-            want = normalize(element(*generator_diff(n)))
+            want = normalize(element(*reference.generator_differential(n)))
             assert got == want, n
 
     def test_bidegree_shift(self):
@@ -482,6 +496,16 @@ class TestAdmissibleBasis:
                 if n:
                     assert admissible_count(s, d, n - 1) == n, (s, d)
         assert admissible_count(-1, 3, 10) == admissible_count(3, -1, 10) == 0
+
+    def test_count_against_the_reference(self):
+        # the counter behind every guard, against the reference's count,
+        # which shares no code with it, uncapped and capped just below
+        for s in range(11):
+            for d in range(41):
+                n = reference.admissible_count(s, d)
+                assert admissible_count(s, d, 10 ** 9) == n, (s, d)
+                if n:
+                    assert admissible_count(s, d, n - 1) == n, (s, d)
 
     def test_count_refuses_huge_bidegrees_quickly(self):
         # (7, 40) has 253,133 words; the others would take far longer

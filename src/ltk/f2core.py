@@ -110,11 +110,6 @@ class Span:
             self._pivots[residual.bit_length() - 1] = (residual, tag)
         return residual, tag
 
-    def copy(self) -> "Span":
-        other = Span()
-        other._pivots = dict(self._pivots)
-        return other
-
     def __len__(self) -> int:
         return len(self._pivots)
 

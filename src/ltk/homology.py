@@ -13,8 +13,9 @@ Ext dimensions need ranks only, and take a path of their own: rank_out
 eliminates the stored rows, read straight off their arrays, against
 their pivots alone, so no tags are kept and only the echelon rows are
 held.  The rank out of each bidegree is cached as a plain int
-(_rank_out).  slice_at and transfer.find_preimage feed the same rows,
-through differential_rows, to a tagged span.
+(_rank_out).  slice_at, which only boundary_witness calls, and
+transfer.find_preimage feed the same rows, through differential_rows,
+to a tagged span, and transfer.transfer_image_dim to an untagged one.
 
 differential_rows builds the row of an admissible word n T, first letter
 n, from d(n T) = d(lambda_n) T + lambda_n d(T).  Lambda(m), spanned by
@@ -90,7 +91,7 @@ class BidegreeSlice(NamedTuple):
     boundaries holds the differentials of prev_basis, the basis at
     (s-1, d+1), as rows in basis coordinates, the row of prev_basis[i]
     tagged 1 << i: bit i of a tag stands for prev_basis[i].  The slice is
-    cached and shared, so add nothing to boundaries; copy it instead.
+    cached and shared, so add nothing to boundaries.
     """
 
     basis: tuple[LambdaMonomial, ...]

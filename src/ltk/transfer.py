@@ -236,14 +236,17 @@ def verify_detection(u: CatalogEntry, target: LambdaElement,
 def transfer_image_dim(s: int, d: int, max_basis: Optional[int] = DEFAULT_MAX_BASIS
                        ) -> tuple[int, list[LambdaElement]]:
     """Dimension of the transfer image inside the cohomology at (s, d),
-    with spanning cycle representatives."""
+    with spanning cycle representatives.  A Span takes the boundary rows
+    untagged, then the images; no slice is built."""
     if s < 1:
         raise ValueError("s must be at least 1")
     guard(max_basis, words=cells(s, d), primitives=[(s, d)])
     images = [psi(p) for p in dp.primitive_basis(s, d)]
-    sl = homology.slice_at(s, d)
-    span = sl.boundaries.copy()
-    reps = [image for image in images if span.add(homology.row(image, sl.basis))[0]]
+    basis = homology._basis(s, d)
+    span = f2core.Span()
+    for row in homology.differential_rows(s - 1, d + 1):
+        span.add(row)
+    reps = [image for image in images if span.add(homology.row(image, basis))[0]]
     return len(reps), reps
 
 
@@ -267,15 +270,15 @@ def find_preimage(s: int, target: LambdaElement,
     guard(max_basis, primitives=[(s, d)])
     prims = dp.primitive_basis(s, d)
     images = [psi(p) for p in prims]
-    sl = homology.slice_at(s, d)
+    basis = homology._basis(s, d)
     # only the primitive images are tagged, so the target's tag names the
     # images whose sum differs from the target by a boundary
     span = f2core.Span()
     for i, image in enumerate(images):
-        span.add(homology.row(image, sl.basis), 1 << i)
+        span.add(homology.row(image, basis), 1 << i)
     for row in homology.differential_rows(s - 1, d + 1):
         span.add(row)
-    residual, x = span.reduce(homology.row(target, sl.basis))
+    residual, x = span.reduce(homology.row(target, basis))
     if residual:
         return None
     preimage: set = set()

@@ -169,6 +169,13 @@ COMMANDS: list[list[str]] = [
       for fmt in ([], ["--format", "json"])],
     # primitive_basis re-checks 965 and 641 kernel vectors here
     ["transfer-image", "--s", "5", "--deg", "22", "--format", "json"],
+    # where the order of the representatives shows: two classes at
+    # (3, 31) and at (4, 18), u24's cell (5, 24), and far stems at ranks
+    # one and two
+    *[["transfer-image", "--s", s, "--deg", d, "--format", "json"]
+      for s, d in (("3", "31"), ("4", "18"), ("5", "24"))],
+    ["transfer-image", "--s", "1", "--deg", "31"],
+    ["transfer-image", "--s", "2", "--deg", "38"],
     ["primitive-basis", "--rank", "5", "--deg", "20"],
     *[[cmd, "--in", name, *fmt]
       for cmd in ("diff", "sq0")

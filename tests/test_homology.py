@@ -241,6 +241,13 @@ class TestExtDimension:
             assert ext_dimension(s, d) == cycles - bounds
             assert ext_dimension(s, d) >= 0
 
+    def test_adams_vanishing_line(self):
+        # Adams (1966): Ext^{s,s+t} = 0 for 0 < t < U(s), where U(4k) =
+        # 8k-1, U(4k+1) = 8k+1, U(4k+2) = 8k+2 and U(4k+3) = 8k+3; at
+        # t = U(s) the dimension is 1
+        for s, u in zip(range(1, 11), (1, 2, 3, 7, 9, 10, 11, 15, 17, 18)):
+            assert [ext_dimension(s, d) for d in range(1, u + 1)] == [0] * (u - 1) + [1], s
+
     def test_negative_bidegree_rejected(self):
         with pytest.raises(ValueError):
             ext_dimension(-1, 3)
@@ -492,6 +499,14 @@ class TestCarriedBasis:
         assert sl.basis == admissible_basis(5, 14)
         assert sl.prev_basis == admissible_basis(4, 15)
 
+    def test_a_cold_transfer_image_enumerates_two_bases_once(self, fresh_caches,
+                                                              monkeypatch):
+        # its own basis and that of the boundary rows' domain; the cell
+        # (6, 13), which the guard still counts, is not enumerated
+        calls = counting_bases(monkeypatch)
+        transfer_image_dim(5, 14)
+        assert calls == {(5, 14): 1, (4, 15): 1}
+
     def test_a_slice_keeps_the_basis_its_rows_left(self, fresh_caches, monkeypatch):
         # rows built whole, as ext_dimension builds them, leave their words
         # (4, 15) and codomain (5, 14) in the cache, and slice_at takes both
@@ -567,7 +582,7 @@ class TestCacheRegistry:
 class TestRankPath:
     """rank_out eliminates the stored rows without tags; slice_at and
     find_preimage feed the same rows, through differential_rows, to a
-    tagged Span."""
+    tagged Span, and transfer_image_dim to an untagged one."""
 
     # every chart cell (s + d <= 21) and the next three diagonals, where a
     # rewrite that stops its scan one pair short first goes wrong

@@ -23,7 +23,16 @@ from ltk.transfer import (
     verify_detection,
 )
 
-from .oracles import EXT_CLASS_NAMES, kernel_elements, psi_rank2_oracle, sq_right_dual_table
+from .oracles import (
+    EXT_CLASS_NAMES,
+    admissible_words_brute,
+    image_rows,
+    kernel_elements,
+    psi_rank2_oracle,
+    rank_of_rows,
+    reference,
+    sq_right_dual_table,
+)
 
 
 def gamma_entry(name: str, element: frozenset, s: int, d: int) -> CatalogEntry:
@@ -318,14 +327,38 @@ class TestTransferImage:
         assert dim >= 0
 
     def test_low_rank_image_fills_cohomology(self):
-        # at ranks two and three the transfer is onto, so the image
-        # dimension must equal the full dimension at every bidegree
-        for d in range(0, 15):
-            dim, _ = transfer_image_dim(2, d)
-            assert dim == homology.ext_dimension(2, d), (2, d)
-        for d in range(0, 12):
-            dim, _ = transfer_image_dim(3, d)
-            assert dim == homology.ext_dimension(3, d), (3, d)
+        # at ranks two and three the transfer is onto (Singer 1989 for
+        # s = 2, Boardman 1993 for s = 3), so the image dimension must
+        # equal the full dimension at every stem
+        for s in (2, 3):
+            for d in range(0, 41):
+                dim, _ = transfer_image_dim(s, d)
+                assert dim == homology.ext_dimension(s, d), (s, d)
+
+    def test_builds_no_slice(self):
+        # the image reads the stored boundary rows; only boundary_witness,
+        # which names the words of its witnesses, needs a slice
+        homology.slice_at.cache_clear()
+        for s, d in ((5, 14), (4, 18)):
+            transfer_image_dim(s, d)
+            assert homology.slice_at.cache_info().currsize == 0, (s, d)
+
+    @pytest.mark.parametrize("s, d, dim", [(3, 31, 2), (4, 18, 2), (5, 14, 1)])
+    def test_representatives_are_independent_classes(self, s, d, dim):
+        # checked by the reference differential and 0/1-list elimination,
+        # which share no code with the package: each representative is a
+        # cycle, and together they raise the rank of the boundaries by dim
+        got, reps = transfer_image_dim(s, d)
+        assert got == len(reps) == dim
+        basis = admissible_words_brute(s, d)
+        index = {w: i for i, w in enumerate(basis)}
+        boundaries = image_rows(reference.differential,
+                                admissible_words_brute(s - 1, d + 1), basis)
+        for rep in reps:
+            assert reference.differential(rep) == frozenset(), (s, d)
+        rows = [sum(1 << index[w] for w in rep) for rep in reps]
+        assert (rank_of_rows(boundaries + rows, len(basis))
+                - rank_of_rows(boundaries, len(basis))) == dim
 
 
 class TestFindPreimage:

@@ -25,17 +25,28 @@ Distinct distributions give distinct monomials, so nothing cancels
 within one monomial and the states need no mod-2 bookkeeping.
 
 Each monomial is folded under its generator squares at most once per
-process.  is_primitive reads those images from a memo, _generator_images,
-which holds only the monomials of the elements it has been given (a
-verify run and its mutants share theirs).  primitive_basis folds every
-monomial of its basis once into a bit row, keeps the rows, and re-checks
-each kernel vector as the XOR of the rows it names; it does not touch the
-memo, so a large basis does not stay in memory.
+process.  is_primitive reads each monomial's images from a memo,
+_generator_row, as one int bit row; the memo holds only the monomials of
+the elements it has been given (a verify run and its mutants share
+theirs).  A row interleaves the n squares: the image monomials of the
+j-th square sit at bits j, j + n, j + 2n, ..., numbered as first met in
+that square's dict of _COLUMNS, which keeps one list of dicts per source
+degree, so a row is never wider than n times the images the process has
+met under one square at its own degree.  An element is primitive iff the
+XOR of its rows is zero; a nonzero XOR is read back one square at a
+time, every n-th binary digit selecting that square's image monomials.
+A lock, _NUMBERING, lets threads fold and read back at once.
+primitive_basis folds every monomial of its basis once into a bit row of
+its own, keeps the rows, and re-checks each kernel vector as the XOR of
+the rows it names; it does not touch the memo, so a large basis does not
+stay in memory.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+from itertools import compress
 from typing import Iterable, NamedTuple, Optional
 
 from . import f2core
@@ -146,11 +157,32 @@ def _generator_squares(d: int) -> tuple[int, ...]:
     return tuple(squares)
 
 
+# the columns of the rows of _generator_row: per source degree, one dict
+# per generator square numbering its image monomials as first met
+_COLUMNS: dict[int, list[dict[GammaMonomial, int]]] = {}
+# numbering a column reads then grows its dict: two threads folding at
+# one degree would give two monomials one column, and a decode reading a
+# dict while a fold grows it would fail
+_NUMBERING = threading.Lock()
+_ZERO_DIGIT = bytes.maketrans(b"0", b"\0")
+
+
 @functools.cache
-def _generator_images(m: GammaMonomial) -> tuple[tuple[GammaMonomial, ...], ...]:
-    """m's images under each generator square of its degree, folded once
-    per process."""
-    return tuple(map(tuple, _sq_fold(m, _generator_squares(sum(m)))))
+def _generator_row(m: GammaMonomial) -> int:
+    """m's images under the n generator squares of its degree, interleaved
+    in one bit row folded once per process: the j-th square's image
+    monomial at column k of its dict sits at bit n * k + j."""
+    d = sum(m)
+    squares = _generator_squares(d)
+    n = len(squares)
+    images = _sq_fold(m, squares)
+    row = 0
+    with _NUMBERING:
+        columns = _COLUMNS.setdefault(d, [{} for _ in squares])
+        for j, (image, column) in enumerate(zip(images, columns)):
+            for w in image:
+                row |= 1 << n * column.setdefault(w, len(column)) + j
+    return row
 
 
 def is_primitive(e: GammaElement) -> PrimitivityEvidence:
@@ -159,12 +191,20 @@ def is_primitive(e: GammaElement) -> PrimitivityEvidence:
     if d is None:
         return PrimitivityEvidence(True, ())
     squares = _generator_squares(d)
-    accs: list[set[GammaMonomial]] = [set() for _ in squares]
+    bits = 0
     for m in e:
-        for acc, image in zip(accs, _generator_images(m)):
-            acc.symmetric_difference_update(image)
-    checked = tuple(zip(squares, map(frozenset, accs)))
-    return PrimitivityEvidence(all(not img for _, img in checked), checked)
+        bits ^= _generator_row(m)
+    if not bits:
+        return PrimitivityEvidence(True, tuple((i, ZERO) for i in squares))
+    # bit k's binary digit at index k, a "0" made falsy: every n-th digit
+    # from j selects the image monomials of the j-th square, in column
+    # order, so compress reads them off with no Python loop per bit
+    digits = f"{bits:b}".encode()[::-1].translate(_ZERO_DIGIT)
+    n = len(squares)
+    with _NUMBERING:  # no fold grows a dict while it is read
+        return PrimitivityEvidence(False, tuple(
+            (i, frozenset(compress(column, digits[j::n])))
+            for j, (i, column) in enumerate(zip(squares, _COLUMNS[d]))))
 
 
 def gamma_basis(s: int, d: int) -> tuple[GammaMonomial, ...]:

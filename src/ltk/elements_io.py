@@ -31,8 +31,8 @@ them by the first term's head.
 
 from __future__ import annotations
 
-import json
 import re
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, NamedTuple, NoReturn, Optional
 
 from . import divided_power as dp
@@ -250,10 +250,43 @@ def _report_dict(r: "DetectionReport") -> dict:
     }
 
 
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _write_json(v, level: int, out: list[str]) -> None:
+    """Append v to out as json.dumps(v, indent=2) writes it.  The stdlib
+    encoder runs in pure Python when it indents; this one dispatches on
+    type() and knows only the types a report holds."""
+    t = type(v)
+    if t is str:
+        out.append(encode_basestring_ascii(v))
+    elif t is int:
+        out.append(repr(v))
+    elif t is bool or v is None:
+        out.append(_JSON_CONSTANTS[v])
+    elif t is dict or t is list:
+        if not v:
+            out.append("{}" if t is dict else "[]")
+            return
+        newline = "\n" + "  " * (level + 1)
+        out.append("{" if t is dict else "[")
+        for k, item in enumerate(v.items() if t is dict else v):
+            out.append("," + newline if k else newline)
+            if t is dict:
+                key, item = item
+                out.append(encode_basestring_ascii(key) + ": ")
+            _write_json(item, level + 1, out)
+        out.append("\n" + "  " * level + ("}" if t is dict else "]"))
+    else:
+        raise TypeError(f"{t.__name__} is not written in a report")
+
+
 def emit_report(r: "DetectionReport", format: str = "text") -> str:
     """Render a detection report as human-readable text or JSON."""
     if format == "json":
-        return json.dumps(_report_dict(r), indent=2)
+        out: list[str] = []
+        _write_json(_report_dict(r), 0, out)
+        return "".join(out)
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
     yes_no = {True: "yes", False: "NO", None: "n/a"}

@@ -97,12 +97,12 @@ def monomial_bidegree(m: LambdaMonomial) -> Bidegree:
 
 def bidegree(e: LambdaElement) -> Optional[Bidegree]:
     """The common bidegree of all terms, or None for the zero element."""
-    degs = {monomial_bidegree(m) for m in e}
+    degs = {(len(m), sum(m)) for m in e}
     if not degs:
         return None
     if len(degs) > 1:
         raise ValueError("element is not homogeneous")
-    return degs.pop()
+    return Bidegree(*degs.pop())
 
 
 def is_admissible(m: LambdaMonomial) -> bool:

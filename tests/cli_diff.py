@@ -137,6 +137,9 @@ COMMANDS: list[list[str]] = [
                   ["steenrod", "--deg", "4"], ["steenrod", "--deg", "1"],
                   ["psi"], ["psi", "--rank", "5"])],
     ["primitive-check", "--in", "u14_mutant.f2elt"],
+    # a nonzero image under some generator square, read back from its bits
+    *[["primitive-check", "--in", f"{u}_mutant.f2elt", "--format", "json"]
+      for u in ("u14", "u20", "u24")],
     ["find-preimage", "--s", "5", "--in", "h0.f2elt"],
     ["find-preimage", "--s", "1", "--in", "h0.f2elt", "--format", "json"],
     ["find-preimage", "--s", "3", "--in", "c0.f2elt"],

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import time
 from math import comb
 
@@ -10,7 +11,8 @@ import pytest
 from ltk import catalog, f2core
 from ltk.divided_power import (
     ZERO,
-    _generator_images,
+    _COLUMNS,
+    _generator_row,
     _generator_squares,
     _sq_fold,
     degree_of,
@@ -269,20 +271,60 @@ class TestGeneratorImagesMemo:
         for e in self.inputs():
             squares = _generator_squares(degree_of(e)) if e else ()
             expected = tuple((i, oracle(e, i)) for i in squares)
-            _generator_images.cache_clear()
+            _generator_row.cache_clear()
             cold = is_primitive(e)
-            assert _generator_images.cache_info().currsize == len(e)
-            hits = _generator_images.cache_info().hits
+            assert _generator_row.cache_info().currsize == len(e)
+            hits = _generator_row.cache_info().hits
             warm = is_primitive(e)
-            assert _generator_images.cache_info().hits == hits + len(e)
+            assert _generator_row.cache_info().hits == hits + len(e)
             assert cold.checked == expected, sorted(e)
+            assert cold.holds == all(not img for _, img in expected), sorted(e)
             assert warm == cold, sorted(e)
+
+    def test_threads_folding_the_same_degrees_agree(self):
+        # threads fold new monomials of the same degrees at once; two image
+        # monomials given one column would show as a wrong image
+        from concurrent.futures import ThreadPoolExecutor
+
+        inputs = self.inputs()
+        expected = [is_primitive(e) for e in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(3):
+                _generator_row.cache_clear()
+                _COLUMNS.clear()
+                orders = [random.Random(seed * 8 + i).sample(range(len(inputs)), len(inputs))
+                          for i in range(8)]
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(
+                        lambda order: {k: is_primitive(inputs[k]) for k in order},
+                        orders, timeout=60))
+                assert all(g[k] == expected[k] for g in got for k in g)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_primitive_basis_leaves_the_memo_alone(self):
         is_primitive(catalog.entry("u14").element)
-        size = _generator_images.cache_info().currsize
+        size = _generator_row.cache_info().currsize
+        columns = {d: [dict(c) for c in cs] for d, cs in _COLUMNS.items()}
         primitive_basis(5, 14)
-        assert _generator_images.cache_info().currsize == size
+        assert _generator_row.cache_info().currsize == size
+        assert _COLUMNS == columns
+
+    def test_columns_are_numbered_per_source_degree_and_square(self):
+        for name in ("u14", "u20", "u24"):
+            is_primitive(catalog.entry(name).element)
+        for d, columns in _COLUMNS.items():
+            squares = _generator_squares(d)
+            assert len(columns) == len(squares), d
+            for i, column in zip(squares, columns):
+                assert all(sum(w) == d - i for w in column), (d, i)
+                assert list(column.values()) == list(range(len(column))), (d, i)
+        # ranks that share a degree share its numbering
+        e = frozenset({(4, 0), (1, 1, 2), (3, 1)})
+        squares = _generator_squares(4)
+        assert is_primitive(e).checked == tuple((i, sq_right(e, i)) for i in squares)
 
 
 class TestPrimitiveBasis:

@@ -442,3 +442,36 @@ class TestEmitReport:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_report(make_verified_report(), "xml")
+
+    def test_json_matches_the_stdlib_encoder(self):
+        # u14 against the zero target: its image is a nonzero class, so
+        # no boundary joins the two and the witness is None
+        u14 = catalog.entry("u14")
+        reports = [
+            make_verified_report(),
+            make_falsified_report(),
+            verify_detection(catalog.CatalogEntry("zero", catalog.GAMMA, (5, 14), dp.ZERO),
+                             la.ZERO),
+            verify_detection(u14._replace(name="u14 \u00e9\u2192\U0001d53d \"q\"\t\\"),
+                             la.ZERO, target_name="h\u2080d\u2080"),
+        ]
+        assert reports[2].primitive_checked == ()
+        assert any(r.witness is None for r in reports)
+        for r in reports:
+            assert emit_report(r, "json") == json.dumps(elements_io._report_dict(r), indent=2)
+
+    def test_json_writer_nesting_and_scalars(self):
+        values = [
+            {}, [], "", 0, -7, 10 ** 40, True, False, None, "\x00\x1f\x7f\u00ff\ud800",
+            {"a": [], "b": {}, "c": [[], [{}], [1, [2, [None]]]], "\u00e9": {"x": False}},
+            [{"k": "v"}, [True], "s"],
+        ]
+        for v in values:
+            out: list = []
+            elements_io._write_json(v, 0, out)
+            assert "".join(out) == json.dumps(v, indent=2), v
+
+    def test_json_writer_refuses_other_types(self):
+        for v in (1.5, (1, 2), {"k": {1, 2}}):
+            with pytest.raises(TypeError):
+                elements_io._write_json(v, 0, [])
